@@ -214,7 +214,7 @@ SQL_JOIN_CO = """
 def q_join_customer_orders_broadcast(sf_dir: str):
     """Same join as q_join_customer_orders but via the BROADCAST strategy
     (stages/join.py:broadcast_join — ray.put the 15k-row customer side,
-    vectorized searchsorted per batch, no shuffle/join actors). Same SQL
+    one Arrow join per batch, no shuffle/join actors). Same SQL
     oracle; the bench contrasts the two strategies."""
     import pyarrow.parquet as pq
 
@@ -1482,9 +1482,7 @@ def q_spatial_join_layers(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True,
     )
     cust_tiles = partial_groupby(cust, ["key_col", "key_row"], [("key_col", "count", "n_customers")], final="single")
-    # both sides are pre-aggregated to <= 256 tile rows: 2 join partitions
-    # avoid paying 8 aggregator-actor spawns for a tiny keyed join
-    return spatial_join(ev, cust_tiles, "inner", num_partitions=2, on=("key_col", "key_row"))
+    return spatial_join(ev, cust_tiles, "inner", on=("key_col", "key_row"))
 
 
 SQL_SPATIAL_JOIN = f"""

@@ -2,18 +2,31 @@
 
 Re-expresses ref:spark/src/main/scala/geotrellis/spark/join/SpatialJoin.scala
 (join / leftOuterJoin over SpacePartitioner, L:unverified — /root/reference
-empty at survey time; SURVEY.md §2.4) as Ray's hash-partitioned
-``Dataset.join`` on the sfc column, plus semi/anti via broadcast key sets,
-and a partition-based (PBSM) large-large spatial join built from ClipToGrid
-explode + equi-join on sfc.
+empty at survey time; SURVEY.md §2.4) as an equi-join on the sfc column that
+broadcasts a small right side and hash-shuffles a large one (spatial_join),
+plus semi/anti via broadcast key sets, and a partition-based (PBSM)
+large-large spatial join built from ClipToGrid explode + equi-join on sfc.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pyarrow as pa
 
 from ..core.sfc import zorder
+
+logger = logging.getLogger(__name__)
+
+# Broadcast rebuilds the right hash table per left block (cost ~ right bytes x
+# left blocks); the shuffle pays ~1.5-3 s of repartitions and join actors.
+# End to end on 4 CPUs, a plain equi-join broadcast won up to ~1,300 MiB x
+# blocks (8-320 blocks of 3,750 rows); pbsm_spatial_join, whose refine decodes
+# each polygon once per left block, won at 0.8 MiB and lost from 2 MiB. 1 MiB
+# is the largest size that won for every measured caller.
+BROADCAST_MAX_BYTES = 1 << 20
+_BROADCAST_HOW = ("inner", "left_outer")
 
 
 def _normalize_blocks(ds, n: int):
@@ -24,23 +37,57 @@ def _normalize_blocks(ds, n: int):
     return ds.repartition(n)
 
 
+def _broadcast_join(batch: pa.Table, *, right_ref, **join_kw) -> pa.Table:
+    """One left batch joined against the whole broadcast right table: the
+    pa.Table.join call Ray 2.49's hash join makes on each partition
+    (JoiningShuffleAggregation.finalize), so key coalescing, suffixes, null
+    and duplicate keys and the output schema match the shuffle path."""
+    import ray
+
+    return batch.join(ray.get(right_ref), **join_kw)
+
+
+def _broadcast(left, right: pa.Table, how: str, **join_kw):
+    import ray
+
+    if how not in _BROADCAST_HOW:
+        raise ValueError(f"unsupported how={how!r}")
+    return left.map_batches(
+        _broadcast_join, batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+        fn_kwargs={"right_ref": ray.put(right), "join_type": how.replace("_", " "), **join_kw})
+
+
 def spatial_join(left, right, how: str = "inner", num_partitions: int = 32,
-                 on: tuple[str, ...] = ("sfc",), left_suffix: str = "", right_suffix: str = "_r",
-                 normalize: bool = True):
-    """Equi-join two keyed layers on sfc (or any key tuple). how: inner |
-    left_outer. Result bounds = combined metadata (computed by the caller's
-    aggregate pass when needed)."""
-    if normalize:
-        left = _normalize_blocks(left, num_partitions)
-        right = _normalize_blocks(right, num_partitions)
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=on,
-        left_suffix=left_suffix,
-        right_suffix=right_suffix,
-    )
+                 on: tuple[str, ...] = ("sfc",), left_suffix: str = "", right_suffix: str = "_r"):
+    """Equi-join two keyed layers on sfc (or any key tuple); how is a Ray join
+    type. Result bounds = combined metadata (computed by the caller's
+    aggregate pass when needed).
+
+    The right side is materialized once and its size read. An inner or
+    left_outer join against a right side of at most BROADCAST_MAX_BYTES that
+    has a schema broadcasts it: one ``ray.put``, one Arrow join per left
+    block, no repartition, no join actors. Anything else repartitions both
+    sides (_normalize_blocks) into Ray's hash-partitioned ``Dataset.join``.
+    Same rows and schema either way; the choice is logged at DEBUG."""
+    import ray
+
+    right = right.materialize()
+    size = right.size_bytes()
+    table = None
+    if how in _BROADCAST_HOW and size is not None and size <= BROADCAST_MAX_BYTES:
+        # aggregate lineage adds schema-less blocks; if all are, no key column
+        # is left to broadcast and Ray 2.49's shuffle rejects it, as before
+        parts = [t for t in ray.get(right.to_arrow_refs()) if t.num_columns]
+        table = pa.concat_tables(parts, promote_options="default") if parts else None
+    logger.debug("join choice %s", {"site": "stages.join.spatial_join", "right_bytes": size,
+                                    "choice": "shuffle" if table is None else "broadcast",
+                                    "threshold": BROADCAST_MAX_BYTES})
+    if table is not None:
+        return _broadcast(left, table, how, keys=list(on), left_suffix=left_suffix,
+                          right_suffix=right_suffix)
+    return _normalize_blocks(left, num_partitions).join(
+        _normalize_blocks(right, num_partitions), join_type=how, num_partitions=num_partitions,
+        on=on, left_suffix=left_suffix, right_suffix=right_suffix)
 
 
 def semi_join_keys(ds, key_set, key_col: str = "sfc", anti: bool = False):
@@ -56,68 +103,19 @@ def semi_join_keys(ds, key_set, key_col: str = "sfc", anti: bool = False):
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def key_intersection(left, right, key_cols=("key_col", "key_row")):
-    """Intersect the key sets of two layers (KeyBounds.intersect analogue on
-    actual keys): distinct keys present in BOTH."""
-    lk = left.select_columns(list(key_cols)).unique(list(key_cols))
-    return spatial_join(lk, right.select_columns(list(key_cols)).unique(list(key_cols)),
-                        how="inner", on=tuple(key_cols))
-
-
 def broadcast_join(left_ds, right_table: pa.Table, left_key: str, right_key: str,
                    how: str = "inner", right_columns: list[str] | None = None):
-    """Broadcast inner/left-outer equi-join against a SMALL right table: the
-    right side is sorted once by key and shipped via ``ray.put``; each batch
-    resolves matches with a vectorized double searchsorted (duplicate right
-    keys expand). No shuffle, no join actors — the scale pattern for
-    dimension-table joins (brief: "broadcast small sides with ray.put +
-    lookup inside map_batches instead of a shuffle join"). Right keys must
-    be integers."""
-    import ray
-
-    rk = right_table[right_key].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(rk, kind="stable")
-    rk_sorted = rk[order]
+    """Broadcast inner/left-outer equi-join against a SMALL right table,
+    shipped once via ``ray.put`` and joined in Arrow per left batch: no
+    shuffle, no join actors. SQL semantics: duplicate right keys expand, null
+    keys match nothing. Both key columns must have the same Arrow type (Arrow
+    rejects int32 against int64). Keeps ``left_key``, drops ``right_key`` and
+    suffixes right columns named like a left one with ``_r``."""
     cols = right_columns if right_columns is not None else [
         c for c in right_table.column_names if c != right_key
     ]
-    right_sorted = right_table.select(cols).take(pa.array(order, pa.int64()))
-    ref = ray.put((rk_sorted, right_sorted))
-
-    def join_batch(b: pa.Table, *, _ref=ref) -> pa.Table:
-        keys_sorted, right = ray.get(_ref)
-        lk = b[left_key].to_numpy(zero_copy_only=False).astype(np.int64)
-        lo = np.searchsorted(keys_sorted, lk, side="left")
-        hi = np.searchsorted(keys_sorted, lk, side="right")
-        counts = hi - lo
-        if how == "inner":
-            take_left = np.repeat(np.arange(len(b), dtype=np.int64), counts)
-            offs = (np.concatenate([np.arange(c) for c in counts])
-                    if counts.sum() else np.array([], np.int64))
-            take_right = np.repeat(lo, counts) + offs
-            out = b.take(pa.array(take_left, pa.int64()))
-            rgt = right.take(pa.array(take_right, pa.int64()))
-        elif how == "left_outer":
-            eff = np.maximum(counts, 1)
-            take_left = np.repeat(np.arange(len(b), dtype=np.int64), eff)
-            offs = (np.concatenate([np.arange(c) for c in eff])
-                    if eff.sum() else np.array([], np.int64))
-            base = np.repeat(np.where(counts > 0, lo, -1), eff)
-            take_right = np.where(base >= 0, base + offs, -1)
-            out = b.take(pa.array(take_left, pa.int64()))
-            valid = take_right >= 0
-            gathered = right.take(pa.array(np.where(valid, take_right, 0), pa.int64()))
-            # unmatched rows -> nulls via an Arrow take with null indices
-            idx = pa.array(np.where(valid, np.arange(len(valid)), -1), pa.int64())
-            idx = pa.compute.if_else(pa.compute.greater_equal(idx, 0), idx, pa.scalar(None, pa.int64()))
-            rgt = gathered.take(idx)
-        else:
-            raise ValueError(f"unsupported how={how!r}")
-        for c in rgt.column_names:
-            out = out.append_column(c, rgt[c])
-        return out
-
-    return left_ds.map_batches(join_batch, batch_format="pyarrow", zero_copy_batch=True)
+    return _broadcast(left_ds, right_table.select([right_key, *cols]), how,
+                      keys=left_key, right_keys=right_key, right_suffix="_r")
 
 
 def range_join(points_ds, intervals_ds, value_col: str, lo_col: str, hi_col: str,
