@@ -212,14 +212,16 @@ SQL_JOIN_CO = """
 
 
 def q_join_customer_orders_broadcast(sf_dir: str):
-    """Same join as q_join_customer_orders but via the BROADCAST strategy
-    (stages/join.py:broadcast_join — ray.put the 15k-row customer side,
-    one Arrow join per batch, no shuffle/join actors). Same SQL
-    oracle; the bench contrasts the two strategies."""
+    """Same join as q_join_customer_orders but through stages/join.py:
+    spatial_join, which broadcasts the customer side (0.3 MiB at sf0.1, under
+    BROADCAST_MAX_BYTES): one ``ray.put``, one Arrow join per left batch, no
+    shuffle/join actors. Same SQL oracle; the bench contrasts the two
+    strategies."""
     import pyarrow.parquet as pq
+    import ray.data
 
     from .stages.agg import partial_groupby
-    from .stages.join import broadcast_join
+    from .stages.join import spatial_join
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -232,9 +234,10 @@ def q_join_customer_orders_broadcast(sf_dir: str):
             }
         )
 
-    joined = broadcast_join(
+    joined = spatial_join(
         orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        cust, "o_custkey", "c_custkey", how="inner",
+        ray.data.from_arrow(cust.rename_columns(["o_custkey", "c_mktsegment"])),
+        how="inner", on=("o_custkey",),
     )
     return partial_groupby(
         joined, ["c_mktsegment"],

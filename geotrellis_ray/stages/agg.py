@@ -92,7 +92,8 @@ def partial_groupby(ds, keys, specs, final: str = "shuffle"):
     )
     # tree combine: coalesce many small partial blocks per task before the
     # shuffle (sort-aggregate cost scales with block count). count partials
-    # re-merge as sum; min/max/sum are self-mergeable.
+    # re-merge as sum; min/max/sum are self-mergeable. Ray fuses this map into
+    # a task-based upstream map, which then bundles >= 262k input rows per task.
     merge_specs = [(alias, "sum" if fn in ("sum", "count") else fn, alias) for _c, fn, alias in specs]
     partial = partial.map_batches(
         lambda b: _batch_partial(b, keys, merge_specs),

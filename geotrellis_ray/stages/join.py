@@ -3,9 +3,10 @@
 Re-expresses ref:spark/src/main/scala/geotrellis/spark/join/SpatialJoin.scala
 (join / leftOuterJoin over SpacePartitioner, L:unverified — /root/reference
 empty at survey time; SURVEY.md §2.4) as an equi-join on the sfc column that
-broadcasts a small right side and hash-shuffles a large one (spatial_join),
-plus semi/anti via broadcast key sets, and a partition-based (PBSM)
-large-large spatial join built from ClipToGrid explode + equi-join on sfc.
+broadcasts a small right side, one Arrow join per left batch of at least the
+right side's rows, and hash-shuffles a large one (spatial_join), plus semi/anti
+via broadcast key sets, and a partition-based (PBSM) large-large spatial join
+built from ClipToGrid explode + equi-join on sfc.
 """
 
 from __future__ import annotations
@@ -19,13 +20,20 @@ from ..core.sfc import zorder
 
 logger = logging.getLogger(__name__)
 
-# Broadcast rebuilds the right hash table per left block (cost ~ right bytes x
-# left blocks); the shuffle pays ~1.5-3 s of repartitions and join actors.
-# End to end on 4 CPUs, a plain equi-join broadcast won up to ~1,300 MiB x
-# blocks (8-320 blocks of 3,750 rows); pbsm_spatial_join, whose refine decodes
-# each polygon once per left block, won at 0.8 MiB and lost from 2 MiB. 1 MiB
-# is the largest size that won for every measured caller.
+# Broadcast costs about right bytes x left batches: each batch joins the whole
+# right table; the shuffle pays ~1.5-3 s of repartitions and join actors. 1 MiB
+# is the largest right side where broadcast won for every caller measured when
+# each left block was its own batch (a plain equi-join won up to ~1,300 MiB x
+# blocks; pbsm_spatial_join lost from 2 MiB); it was not re-measured since
+# batches span blocks.
 BROADCAST_MAX_BYTES = 1 << 20
+# Every pa.Table.join call costs ~0.2 ms fixed plus a fresh hash table of the
+# right side (~0.1 us per right row, against ~0.03 us per left row to probe).
+# Left batches of max(right rows, this) rows amortize both: Ray bundles whole
+# left blocks into each task, so build work scales with left rows, not blocks.
+# On 4 CPUs 2^17 beat 2^15 at 8-160 left blocks of 3,750 or 37,500 rows; a
+# left block larger than the batch is split into several joins.
+_BROADCAST_MIN_BATCH_ROWS = 1 << 17
 _BROADCAST_HOW = ("inner", "left_outer")
 
 
@@ -47,31 +55,25 @@ def _broadcast_join(batch: pa.Table, *, right_ref, **join_kw) -> pa.Table:
     return batch.join(ray.get(right_ref), **join_kw)
 
 
-def _broadcast(left, right: pa.Table, how: str, **join_kw):
-    import ray
-
-    if how not in _BROADCAST_HOW:
-        raise ValueError(f"unsupported how={how!r}")
-    return left.map_batches(
-        _broadcast_join, batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        fn_kwargs={"right_ref": ray.put(right), "join_type": how.replace("_", " "), **join_kw})
-
-
 def spatial_join(left, right, how: str = "inner", num_partitions: int = 32,
                  on: tuple[str, ...] = ("sfc",), left_suffix: str = "", right_suffix: str = "_r"):
     """Equi-join two keyed layers on sfc (or any key tuple); how is a Ray join
     type. Result bounds = combined metadata (computed by the caller's
     aggregate pass when needed).
 
-    The right side is materialized once and its size read. An inner or
-    left_outer join against a right side of at most BROADCAST_MAX_BYTES that
-    has a schema broadcasts it: one ``ray.put``, one Arrow join per left
-    block, no repartition, no join actors. Anything else repartitions both
+    The right side is materialized once (unless it already is) and its size
+    read. An inner or left_outer join against a right side of at most
+    BROADCAST_MAX_BYTES that has a schema broadcasts it: one ``ray.put``, one
+    Arrow join per left batch of max(right rows, _BROADCAST_MIN_BATCH_ROWS)
+    rows, no repartition, no join actors. Anything else repartitions both
     sides (_normalize_blocks) into Ray's hash-partitioned ``Dataset.join``.
-    Same rows and schema either way; the choice is logged at DEBUG."""
+    Same rows and schema either way (block boundaries and row order may
+    differ); the choice is logged at DEBUG."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
-    right = right.materialize()
+    if not isinstance(right, MaterializedDataset):
+        right = right.materialize()
     size = right.size_bytes()
     table = None
     if how in _BROADCAST_HOW and size is not None and size <= BROADCAST_MAX_BYTES:
@@ -79,12 +81,15 @@ def spatial_join(left, right, how: str = "inner", num_partitions: int = 32,
         # is left to broadcast and Ray 2.49's shuffle rejects it, as before
         parts = [t for t in ray.get(right.to_arrow_refs()) if t.num_columns]
         table = pa.concat_tables(parts, promote_options="default") if parts else None
+    batch_rows = None if table is None else max(table.num_rows, _BROADCAST_MIN_BATCH_ROWS)
     logger.debug("join choice %s", {"site": "stages.join.spatial_join", "right_bytes": size,
                                     "choice": "shuffle" if table is None else "broadcast",
-                                    "threshold": BROADCAST_MAX_BYTES})
+                                    "threshold": BROADCAST_MAX_BYTES, "batch_rows": batch_rows})
     if table is not None:
-        return _broadcast(left, table, how, keys=list(on), left_suffix=left_suffix,
-                          right_suffix=right_suffix)
+        return left.map_batches(
+            _broadcast_join, batch_format="pyarrow", batch_size=batch_rows, zero_copy_batch=True,
+            fn_kwargs={"right_ref": ray.put(table), "join_type": how.replace("_", " "),
+                       "keys": list(on), "left_suffix": left_suffix, "right_suffix": right_suffix})
     return _normalize_blocks(left, num_partitions).join(
         _normalize_blocks(right, num_partitions), join_type=how, num_partitions=num_partitions,
         on=on, left_suffix=left_suffix, right_suffix=right_suffix)
@@ -101,21 +106,6 @@ def semi_join_keys(ds, key_set, key_col: str = "sfc", anti: bool = False):
         return batch.filter(pa.array(~hit if anti else hit))
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def broadcast_join(left_ds, right_table: pa.Table, left_key: str, right_key: str,
-                   how: str = "inner", right_columns: list[str] | None = None):
-    """Broadcast inner/left-outer equi-join against a SMALL right table,
-    shipped once via ``ray.put`` and joined in Arrow per left batch: no
-    shuffle, no join actors. SQL semantics: duplicate right keys expand, null
-    keys match nothing. Both key columns must have the same Arrow type (Arrow
-    rejects int32 against int64). Keeps ``left_key``, drops ``right_key`` and
-    suffixes right columns named like a left one with ``_r``."""
-    cols = right_columns if right_columns is not None else [
-        c for c in right_table.column_names if c != right_key
-    ]
-    return _broadcast(left_ds, right_table.select([right_key, *cols]), how,
-                      keys=left_key, right_keys=right_key, right_suffix="_r")
 
 
 def range_join(points_ds, intervals_ds, value_col: str, lo_col: str, hi_col: str,

@@ -2,11 +2,14 @@
 side. Both paths must give the same rows and the same schema, and both must
 match a DuckDB join: uint64 keys at or above 2^63, tuple keys, duplicate and
 null keys, a suffixed non-key column, an empty right side, a right side with
-aggregate lineage, and one-row and empty left blocks."""
+aggregate lineage, and one-row and empty left blocks. The broadcast path also
+runs with its batch floor cut to a few dozen rows, so that batches split left
+blocks and span them, and on a left side whose blocks are all empty."""
 
 from __future__ import annotations
 
 import logging
+import uuid
 
 import duckdb
 import numpy as np
@@ -68,12 +71,20 @@ def _oracle(right: pa.Table, on, how: str) -> pa.Table:
     return con.execute(f"SELECT {', '.join(sel)} FROM lt {verb} rt ON {cond}").arrow()
 
 
+def _join_log(caplog) -> dict:
+    """The decision-log dict of the last spatial_join call."""
+    return [r for r in caplog.records if r.name == join_mod.__name__][-1].args
+
+
 def _run(right_ds, on, how, choice, monkeypatch, caplog) -> pa.Table:
     if choice == "shuffle":
         monkeypatch.setattr(join_mod, "BROADCAST_MAX_BYTES", -1)
     with caplog.at_level(logging.DEBUG, logger=join_mod.__name__):
         ds = join_mod.spatial_join(_left_ds(), right_ds, how, num_partitions=2, on=on).materialize()
-    assert [r for r in caplog.records if r.name == join_mod.__name__][-1].args["choice"] == choice
+    log = _join_log(caplog)
+    assert log["choice"] == choice
+    if choice == "broadcast":
+        assert log["batch_rows"] >= join_mod._BROADCAST_MIN_BATCH_ROWS
     assert ("MapBatches(_broadcast_join)" in ds.stats()) == (choice == "broadcast")
     monkeypatch.undo()
     return _table(ds)
@@ -119,3 +130,100 @@ def test_broadcast_and_shuffle_agree_with_duckdb(ray_session, monkeypatch, caplo
     assert _sorted(expected.cast(broadcast.schema)).equals(_sorted(broadcast))
     if case in ("sfc", "tuple_key"):
         assert "v_r" in broadcast.column_names and broadcast.num_rows > LEFT.num_rows // 2
+
+
+# a batch floor of a few dozen rows: batches of max(right rows, 24) rows, at
+# most RIGHT's 60, stay below _left_ds's 200-row blocks
+SMALL_FLOOR = 24
+
+
+def _run_small(right_ds, on, how, monkeypatch, caplog, tmp_path):
+    """The broadcast path with its batch floor at SMALL_FLOOR. Returns the
+    joined table and the left ``lid`` values of each join call."""
+    join = join_mod._broadcast_join
+    out = str(tmp_path)
+
+    def _broadcast_join(batch, **kw):
+        np.save(f"{out}/{uuid.uuid4().hex}.npy", batch["lid"].to_numpy())
+        return join(batch, **kw)
+
+    monkeypatch.setattr(join_mod, "_BROADCAST_MIN_BATCH_ROWS", SMALL_FLOOR)
+    monkeypatch.setattr(join_mod, "_broadcast_join", _broadcast_join)
+    with caplog.at_level(logging.DEBUG, logger=join_mod.__name__):
+        ds = join_mod.spatial_join(_left_ds(), right_ds, how, num_partitions=2, on=on).materialize()
+    log = _join_log(caplog)
+    assert log["choice"] == "broadcast"
+    assert log["batch_rows"] == max(right_ds.count(), SMALL_FLOOR)
+    monkeypatch.undo()
+    return _table(ds), [np.load(p) for p in tmp_path.glob("*.npy")]
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_small_batches_agree_with_duckdb(ray_session, monkeypatch, caplog, tmp_path, case, how):
+    make_right, on = CASES[case]
+    right_ds = make_right()
+    got, batches = _run_small(right_ds, on, how, monkeypatch, caplog, tmp_path)
+    expected = _oracle(_table(right_ds), on, how)
+    assert expected.column_names == got.column_names
+    assert _sorted(expected.cast(got.schema)).equals(_sorted(got))
+    # each left row went to exactly one join call; _left_ds's blocks hold
+    # lids [0], [], [1, 201) and [201, 400)
+    assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(LEFT.num_rows))
+    blocks = [set(np.searchsorted([1, 201], b, side="right").tolist()) for b in batches]
+    assert any(len(b) > 1 for b in blocks), "no batch spans two left blocks"
+    assert any(sum(k in b for b in blocks) > 1 for k in range(3)), "no left block is split"
+
+
+@pytest.mark.parametrize("floor", ["default", "small"])
+def test_duplicate_and_null_keys_match_pandas(ray_session, monkeypatch, floor):
+    """Equi-join on one int64 key == pandas merge, incl. duplicate right keys,
+    keys missing on the right and left-outer nulls; null keys match nothing."""
+    import pandas as pd
+
+    if floor == "small":
+        monkeypatch.setattr(join_mod, "_BROADCAST_MIN_BATCH_ROWS", SMALL_FLOOR)
+    rng = np.random.default_rng(21)
+    left = pa.table({"k": pa.array(rng.integers(0, 50, 500), pa.int64()),
+                     "lv": pa.array(np.arange(500), pa.int64())})
+    # right: some keys duplicated, some missing
+    rk = np.concatenate([np.arange(0, 40), np.array([3, 3, 7])])
+    right = pa.table({"k": pa.array(rk, pa.int64()),
+                      "rv": pa.array(rk * 10, pa.int64()),
+                      "name": pa.array([f"n{v}" for v in rk], pa.string())})
+    for how in ("inner", "left_outer"):
+        got = (join_mod.spatial_join(ray.data.from_arrow(left).repartition(4),
+                                     ray.data.from_arrow(right), how, on=("k",))
+               .to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True))
+        exp = left.to_pandas().merge(
+            right.to_pandas(), on="k",
+            how=("inner" if how == "inner" else "left"),
+        ).sort_values(["lv", "rv"]).reset_index(drop=True)
+        got2 = got[["k", "lv", "rv", "name"]]
+        exp2 = exp[["k", "lv", "rv", "name"]]
+        if how == "left_outer":
+            got2 = got2.astype({"rv": "float64"})
+        pd.testing.assert_frame_equal(got2, exp2)
+
+    # a null key matches nothing, not even a null on the right (SQL; pandas
+    # merge would pair the nulls)
+    lnull = pa.table({"k": pa.array([1, None, 2], pa.int64()), "lv": pa.array([0, 1, 2], pa.int64())})
+    rnull = pa.table({"k": pa.array([1, None], pa.int64()), "rv": pa.array([10, 20], pa.int64())})
+    for how, want in (("inner", [(1, 0, 10)]),
+                      ("left_outer", [(1, 0, 10), (None, 1, None), (2, 2, None)])):
+        rows = join_mod.spatial_join(ray.data.from_arrow(lnull), ray.data.from_arrow(rnull), how,
+                                     on=("k",)).take_all()
+        assert sorted(((r["k"], r["lv"], r["rv"]) for r in rows), key=lambda t: t[1]) == want
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+def test_all_empty_left_blocks(ray_session, monkeypatch, how):
+    """Ray does not call the join on a bundle without rows, so a left side
+    whose blocks are all empty gives no rows and no schema, as it did when
+    each block was joined on its own."""
+    for floor in (SMALL_FLOOR, join_mod._BROADCAST_MIN_BATCH_ROWS):
+        monkeypatch.setattr(join_mod, "_BROADCAST_MIN_BATCH_ROWS", floor)
+        ds = join_mod.spatial_join(ray.data.from_arrow([LEFT.slice(0, 0)] * 3),
+                                   ray.data.from_arrow(RIGHT), how).materialize()
+        assert ds.count() == 0 and ds.schema() is None
+        assert all(t.num_rows == 0 for t in ray.get(ds.to_arrow_refs()))

@@ -116,43 +116,6 @@ def test_range_join_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got, exp.reset_index(drop=True))
 
 
-def test_broadcast_join_matches_pandas(ray_session):
-    """Broadcast equi-join == pandas merge, incl. duplicate right keys and
-    left-outer nulls; null keys match nothing."""
-    rng = np.random.default_rng(21)
-    left = pa.table({"k": pa.array(rng.integers(0, 50, 500), pa.int64()),
-                     "lv": pa.array(np.arange(500), pa.int64())})
-    # right: some keys duplicated, some missing
-    rk = np.concatenate([np.arange(0, 40), np.array([3, 3, 7])])
-    right = pa.table({"k": pa.array(rk, pa.int64()),
-                      "rv": pa.array(rk * 10, pa.int64()),
-                      "name": pa.array([f"n{v}" for v in rk], pa.string())})
-
-    from geotrellis_ray.stages.join import broadcast_join
-
-    for how in ("inner", "left_outer"):
-        got = (broadcast_join(ray.data.from_arrow(left).repartition(4), right, "k", "k", how=how)
-               .to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True))
-        exp = left.to_pandas().merge(
-            right.to_pandas(), on="k",
-            how=("inner" if how == "inner" else "left"),
-        ).sort_values(["lv", "rv"]).reset_index(drop=True)
-        got2 = got[["k", "lv", "rv", "name"]]
-        exp2 = exp[["k", "lv", "rv", "name"]]
-        if how == "left_outer":
-            got2 = got2.astype({"rv": "float64"})
-        pd.testing.assert_frame_equal(got2, exp2)
-
-    # a null key matches nothing, not even a null on the right (SQL; pandas
-    # merge would pair the nulls)
-    lnull = pa.table({"k": pa.array([1, None, 2], pa.int64()), "lv": pa.array([0, 1, 2], pa.int64())})
-    rnull = pa.table({"k": pa.array([1, None], pa.int64()), "rv": pa.array([10, 20], pa.int64())})
-    for how, want in (("inner", [(1, 0, 10)]),
-                      ("left_outer", [(1, 0, 10), (None, 1, None), (2, 2, None)])):
-        rows = broadcast_join(ray.data.from_arrow(lnull), rnull, "k", "k", how=how).take_all()
-        assert sorted(((r["k"], r["lv"], r["rv"]) for r in rows), key=lambda t: t[1]) == want
-
-
 def test_grouped_top_k_and_exact_quantiles(ray_session):
     rng = np.random.default_rng(31)
     t = pa.table({"g": pa.array(rng.choice(["x", "y"], 4000)),
