@@ -529,8 +529,7 @@ def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
         pts = ids_only.map_batches(mkpts, batch_format="pyarrow", zero_copy_batch=True)
         polys = ray.data.from_arrow(gen_polygons_table().select(["polygon_id", "wkb"]))
         t0 = time.monotonic()
-        joined = pbsm_spatial_join(pts, polys, layout, zoom=6,
-                                   num_partitions=max(2, min(16, num_cpus // 2)))
+        joined = pbsm_spatial_join(pts, polys, layout, zoom=6)
         n_joined = joined.count()
         pbsm_wall = time.monotonic() - t0
         peak_after_pbsm = peak["used"]
@@ -554,8 +553,7 @@ def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
         polys10k = ray.data.from_arrow(pa.Table.from_pylist(
             poly_rows, schema=pa.schema([("polygon_id", pa.int64()), ("wkb", pa.binary())])))
         t0 = time.monotonic()
-        joined10k = pbsm_spatial_join(pts, polys10k, layout, zoom=6,
-                                      num_partitions=max(2, min(16, num_cpus // 2)))
+        joined10k = pbsm_spatial_join(pts, polys10k, layout, zoom=6)
         n_joined10k = joined10k.count()
         pbsm10k_wall = time.monotonic() - t0
         peak_after_pbsm10k = peak["used"]

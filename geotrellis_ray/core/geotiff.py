@@ -131,13 +131,6 @@ def _read_ifd_entries(buf: bytes, off: int, endian: str, big: bool = False) -> d
     return tags
 
 
-def _undo_predictor2(arr: np.ndarray) -> np.ndarray:
-    # horizontal differencing is defined on the stored integer width; axis 1
-    # is always the column axis (multiband chunky arrays are (rows, cols,
-    # bands), so per-channel differencing still runs along axis=1)
-    return np.cumsum(arr, axis=1, dtype=arr.dtype)
-
-
 # --- LZW (TIFF 6.0 flavor: MSB-first bit packing, early change) -------------
 
 _LZW_CLEAR, _LZW_EOI = 256, 257

@@ -108,14 +108,6 @@ def local_defined(a: np.ndarray) -> np.ndarray:
     return (~is_nodata(a)).astype(np.uint8)
 
 
-def local_undefined(a: np.ndarray) -> np.ndarray:
-    return is_nodata(a).astype(np.uint8)
-
-
-def local_if(cond: np.ndarray, then_v, else_v) -> np.ndarray:
-    return np.where(cond != 0, then_v, else_v)
-
-
 # --- crop / merge / split / mask -------------------------------------------
 
 def crop(a: np.ndarray, col0: int, row0: int, col1: int, row1: int) -> np.ndarray:

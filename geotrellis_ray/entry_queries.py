@@ -181,7 +181,13 @@ SQL_FILTER_RANGE = """
 
 
 def q_join_customer_orders(sf_dir: str):
+    """orders x customer through stages/join.py:spatial_join, which
+    broadcasts the customer side (0.3 MiB at sf0.1, under
+    BROADCAST_MAX_BYTES): one ``ray.put``, one Arrow join per left batch, no
+    shuffle/join actors. Registered under both the plain and the _broadcast
+    query name."""
     from .stages.agg import partial_groupby
+    from .stages.join import spatial_join
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -194,9 +200,8 @@ def q_join_customer_orders(sf_dir: str):
             }
         )
 
-    joined = orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True).join(
-        cust, join_type="inner", num_partitions=8, on=("o_custkey",), right_on=("c_custkey",)
-    )
+    joined = spatial_join(orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+                          cust.rename_columns({"c_custkey": "o_custkey"}), on=("o_custkey",))
     return partial_groupby(
         joined, ["c_mktsegment"],
         [("price_cents", "count", "n_orders"), ("price_cents", "sum", "sum_price_cents")],
@@ -211,48 +216,15 @@ SQL_JOIN_CO = """
 """
 
 
-def q_join_customer_orders_broadcast(sf_dir: str):
-    """Same join as q_join_customer_orders but through stages/join.py:
-    spatial_join, which broadcasts the customer side (0.3 MiB at sf0.1, under
-    BROADCAST_MAX_BYTES): one ``ray.put``, one Arrow join per left batch, no
-    shuffle/join actors. Same SQL oracle; the bench contrasts the two
-    strategies."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from .stages.agg import partial_groupby
-    from .stages.join import spatial_join
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def prep(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": b["o_custkey"],
-                "price_cents": pa.array(_cents(b["o_totalprice"].to_numpy(zero_copy_only=False)), pa.int64()),
-            }
-        )
-
-    joined = spatial_join(
-        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        ray.data.from_arrow(cust.rename_columns(["o_custkey", "c_mktsegment"])),
-        how="inner", on=("o_custkey",),
-    )
-    return partial_groupby(
-        joined, ["c_mktsegment"],
-        [("price_cents", "count", "n_orders"), ("price_cents", "sum", "sum_price_cents")],
-        final="single")
-
-
 def q_join_nation_rollup(sf_dir: str):
     from .stages.agg import partial_groupby
+    from .stages.join import spatial_join
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    cn = cust.join(nation, join_type="inner", num_partitions=4, on=("c_nationkey",), right_on=("n_nationkey",))
-    j = orders.join(cn, join_type="inner", num_partitions=8, on=("o_custkey",), right_on=("c_custkey",))
+    cn = spatial_join(cust, nation.rename_columns({"n_nationkey": "c_nationkey"}), on=("c_nationkey",))
+    j = spatial_join(orders, cn.rename_columns({"c_custkey": "o_custkey"}), on=("o_custkey",))
     return partial_groupby(j, ["n_name"], [("n_name", "count", "n_orders")], final="single")
 
 
@@ -867,13 +839,13 @@ SQL_TOKEN_COUNTS = r"""
 
 def q_tfidf_top_terms(sf_dir: str):
     """Per-doc top-3 tf-idf terms (functions/text_analysis.tfidf_top_terms):
-    batch-local term counts -> partial_groupby DF -> hash join -> grouped
+    batch-local term counts -> partial_groupby DF -> spatial_join -> grouped
     top-k with term tie-break. SQL-checked (integer tf/df; idf via libm ln
     on integer inputs is bit-reproducible)."""
     from .functions.text_analysis import tfidf_top_terms
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = tfidf_top_terms(ds, k=3, num_partitions=max(2, min(16, _pool_size(frac=2))))
+    out = tfidf_top_terms(ds, k=3)
     return out.select_columns(["doc_id", "term", "tf", "df", "tfidf", "rank"])
 
 
@@ -3479,7 +3451,7 @@ def q_moving_avg_events(sf_dir: str):
     BETWEEN 4 PRECEDING AND CURRENT ROW) — stages/window.moving_window_sum:
     window_rank's exact running sums off ONE range sort, then the k-row
     window recovered as rsum[rn]-rsum[rn-k] via one slim (part, rn)
-    self hash-join; mov_avg is a single IEEE division of exact ints
+    self join; mov_avg is a single IEEE division of exact ints
     (SQL-bit-identical). Money travels as integer cents."""
     from .stages.window import moving_window_sum
 
@@ -3776,7 +3748,7 @@ def q_range_join(sf_dir: str):
     })
     pts = _read(sf_dir, "events", ["event_id", "value"])
     joined = range_join(pts, ray.data.from_arrow(ivs), "value", "lo", "hi",
-                        bucket_width=12.5, num_partitions=max(2, min(16, _pool_size(frac=2))))
+                        bucket_width=12.5)
     return partial_groupby(
         joined, ["interval_id"],
         [("event_id", "count", "n"), ("event_id", "min", "min_event")],
@@ -3836,11 +3808,7 @@ def q_pbsm_join(sf_dir: str):
     pts = _read(sf_dir, "events", ["event_id"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    joined = pbsm_spatial_join(pts, polys, LATLNG_Z4, zoom=4,
-                               num_partitions=max(2, min(16, cpus // 2)))
+    joined = pbsm_spatial_join(pts, polys, LATLNG_Z4, zoom=4)
     return partial_groupby(
         joined, ["polygon_id"],
         [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")],
@@ -4000,14 +3968,14 @@ def _sql_mix_layer_cells() -> str:
 def q_layer_algebra_sums(sf_dir: str):
     """Local map algebra SQL-bit-exact through the REAL layer paths:
     out = (A * 2) + B with layer_local_scalar (per-batch cube kernel) and
-    layer_local_binary (sfc hash-join then cell-wise op), over the
+    layer_local_binary (sfc spatial_join then cell-wise op), over the
     _mix_layer pair. NoData (NaN) propagates through both ops exactly as
     SQL NULL does through CASE; integer-valued cells keep every sum exact.
     Per-tile (n_defined, sum, min, max)."""
     from .stages.layer_ops import layer_local_binary, layer_local_scalar
 
     a = layer_local_scalar(_mix_layer(1), "multiply", 2.0)
-    out = layer_local_binary(a, _mix_layer(2), "add", num_partitions=4)
+    out = layer_local_binary(a, _mix_layer(2), "add")
     return out.map_batches(_tile_stats_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -4056,7 +4024,7 @@ def q_layer_algebra_toy(sf_dir: str):
 
     a = layer_local_scalar(_toy_layer(sf_dir, 0), "multiply", 2.0)
     b = layer_local_unary(_toy_layer(sf_dir, 1), "sqrt")
-    out = layer_local_binary(a, b, "add", num_partitions=4)
+    out = layer_local_binary(a, b, "add")
     return out.select_columns(["key_col", "key_row", "cols", "rows"])
 
 
@@ -6451,9 +6419,8 @@ def q_vectorize(sf_dir: str):
     area exactly the region's cell count — holes subtracted). SQL-checked
     against the recursive transitive-closure oracle's region sizes: a
     value-level check of ring assembly, saddle handling and hole signs."""
-    import ray
-
     from .core.layout import Extent, LayoutDefinition, TileLayout
+    from .stages.join import spatial_join
     from .stages.regiongroup import region_group, region_stats
     from .stages.vectorize import vectorize
 
@@ -6462,9 +6429,7 @@ def q_vectorize(sf_dir: str):
     ids = region_stats(labeled, lay, keep_label=True).select_columns(
         ["label", "region_cell"])
     polys = vectorize(labeled, lay).select_columns(["lab", "area"])
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    out = polys.join(ids, join_type="inner", on=("lab",), right_on=("label",),
-                     num_partitions=max(2, min(8, cpus // 2)))
+    out = spatial_join(polys, ids.rename_columns({"label": "lab"}), on=("lab",))
     return out.select_columns(["region_cell", "area"])
 
 
@@ -7498,7 +7463,7 @@ def build_queries() -> dict:
         "q1_pricing_summary": q1_pricing_summary,
         "q_filter_range": q_filter_range,
         "q_join_customer_orders": q_join_customer_orders,
-        "q_join_customer_orders_broadcast": q_join_customer_orders_broadcast,
+        "q_join_customer_orders_broadcast": q_join_customer_orders,
         "q_join_nation_rollup": q_join_nation_rollup,
         "q_topk_orders": q_topk_orders,
         "q_grouped_topk": q_grouped_topk,

@@ -263,13 +263,11 @@ def terms_batch(batch: pa.Table, id_col: str = "doc_id", text_col: str = "text")
     })
 
 
-def tfidf_top_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "text",
-                    num_partitions: int | None = None):
+def tfidf_top_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "text"):
     """Per-doc top-k terms by tf-idf (idf = ln(N/df), df = docs containing
     the term). The canonical two-phase shape: (1) per-doc term counts (batch-
     local), (2) DF via partial_groupby over the term stream (only (term, 1)
-    partials shuffle), (3) hash-join DF back onto the term stream — at 100 TB
-    the DF table is corpus-vocabulary-sized, so a join, not a broadcast —
+    partials shuffle), (3) spatial_join DF back onto the term stream,
     (4) grouped top-k with deterministic term tie-break.
 
     idf is computed with math.log on (N, df) INTEGERS inside a vectorized
@@ -277,9 +275,8 @@ def tfidf_top_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "tex
     SQL oracle's ln()."""
     import math
 
-    import ray
-
     from ..stages.agg import grouped_top_k, partial_groupby
+    from ..stages.join import spatial_join
 
     terms = ds.map_batches(
         lambda b: terms_batch(b, id_col=id_col, text_col=text_col),
@@ -295,11 +292,7 @@ def tfidf_top_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "tex
     # (Ray's Aggregate pays ~300x per group when #groups ~ #rows; r5 finding)
     df_tbl = partial_groupby(terms, ["term"], [("doc_id", "count", "df")],
                              final="sort")
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        num_partitions = max(2, min(16, cpus // 2))
-    joined = terms.join(df_tbl, join_type="inner", num_partitions=num_partitions,
-                        on=("term",))
+    joined = spatial_join(terms, df_tbl, on=("term",))
 
     def score(batch: pa.Table) -> pa.Table:
         tf = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

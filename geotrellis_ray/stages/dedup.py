@@ -247,20 +247,10 @@ def _stitch_boundary_rows(boundary) -> "pa.Table | None":
     )
 
 
-def _join_partitions() -> int:
-    """Ray hash joins spawn num_partitions aggregator ACTORS; size to the
-    cluster (chained joins beyond it deadlock silently)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(16, cpus // 2))
-
-
 _PAIR_BROADCAST_MAX = 25_000  # pairs; ~2x that many texts gathered at most
 
 
-def _pair_texts(pairs, ds, id_col: str, text_col: str,
-                num_partitions: int | None = None):
+def _pair_texts(pairs, ds, id_col: str, text_col: str):
     """Attach (text_a, text_b) to a slim candidate-pair stream, inner-join
     semantics on both sides. ``pairs`` MUST be materialized (count() free).
 
@@ -268,17 +258,15 @@ def _pair_texts(pairs, ds, id_col: str, text_col: str,
     - <= _PAIR_BROADCAST_MAX (the common near-dup-sparse case and every
       bench scale): gather ONLY pair-relevant texts with one pruned scan
       (<= 2 * n_pairs rows reach the driver), ray.put the id->text table
-      ONCE, and attach texts in a plain map over the pair stream. No join
-      operator: each Ray hash join spawns num_partitions aggregator actors
-      with a ~1.7-3 s spin-up floor (measured 2.95 s at 250 pairs / 32
-      cpus), which dominated q_ngram_jaccard_pairs / q_minhash_dedup_docs.
-    - larger: the two pair->text hash joins exactly as before (pair-sparse;
-      the corpus text ships once per join) — the 10^12-doc scale shape.
+      ONCE, and attach texts in a plain map over the pair stream.
+    - larger: two pair->text spatial_joins (pair-sparse; the corpus text
+      ships once per join) — the 10^12-doc scale shape. The pair side is
+      the right side, which spatial_join materializes.
     """
     import ray
 
-    if num_partitions is None:
-        num_partitions = _join_partitions()
+    from .join import spatial_join
+
     n_pairs = pairs.count()
     if n_pairs <= _PAIR_BROADCAST_MAX:
         pair_df = pairs.to_pandas()  # slim (ids + small floats), <= 25k rows
@@ -333,9 +321,6 @@ def _pair_texts(pairs, ds, id_col: str, text_col: str,
         return pairs.map_batches(attach, batch_format="pyarrow",
                                  zero_copy_batch=True)
 
-    # filtered/aggregate lineage can carry EMPTY-schema blocks that
-    # Dataset.join rejects; a repartition rebuilds uniform blocks
-    pairs = pairs.repartition(num_partitions)
     docs_a = ds.map_batches(
         lambda b: pa.table({"id_a": b[id_col], "text_a": b[text_col]}),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -344,10 +329,7 @@ def _pair_texts(pairs, ds, id_col: str, text_col: str,
         lambda b: pa.table({"id_b": b[id_col], "text_b": b[text_col]}),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    j = pairs.join(docs_a, join_type="inner",
-                   num_partitions=num_partitions, on=("id_a",))
-    return j.join(docs_b, join_type="inner",
-                  num_partitions=num_partitions, on=("id_b",))
+    return spatial_join(docs_b, spatial_join(docs_a, pairs, on=("id_a",)), on=("id_b",))
 
 
 def minhash_candidate_pairs(ds, num_perm: int = 64, bands: int = 16, ngram: int = 3,
@@ -362,7 +344,7 @@ def minhash_candidate_pairs(ds, num_perm: int = 64, bands: int = 16, ngram: int 
     2. vectorized adjacent-pair extraction per block, O(#blocks) boundary
        stitch on the driver;
     3. pairs dedupe to one row per (id_a, id_b) BEFORE any join;
-    4. est_jaccard via two pair->text hash joins + per-pair signature
+    4. est_jaccard via two pair->text joins + per-pair signature
        recompute — the corpus text ships once per join, the (sparse) pair
        stream carries everything else.
     Never materializes signatures corpus-wide."""
@@ -405,7 +387,7 @@ def minhash_candidate_pairs(ds, num_perm: int = 64, bands: int = 16, ngram: int 
 
     # est_jaccard: ship each pair its two texts, recompute both signatures
     # per pair (pair-sparse work), compare. Broadcast regime below
-    # _PAIR_BROADCAST_MAX pairs, hash joins above (see _pair_texts).
+    # _PAIR_BROADCAST_MAX pairs, spatial_joins above (see _pair_texts).
     j = _pair_texts(unique_pairs.materialize(), ds, id_col, text_col)
 
     def est(batch: pa.Table) -> pa.Table:
@@ -458,11 +440,13 @@ def labels_from_edges(ids_ds, edges, id_col: str = "doc_id", rounds: int = 4,
     themselves). The shared connected-components engine behind
     minhash_dedup and cluster_eps: below ``driver_edge_threshold`` edges,
     driver union-find + broadcast searchsorted label map; above it,
-    ``rounds`` of distributed min-label propagation via hash joins (labels
+    ``rounds`` of distributed min-label propagation via spatial_join (labels
     never collect to the driver)."""
     import ray
     import ray.data
     from ray.data.aggregate import Min
+
+    from .join import spatial_join
 
     if edges.count() <= driver_edge_threshold:
         parent: dict = {}
@@ -504,29 +488,23 @@ def labels_from_edges(ids_ds, edges, id_col: str = "doc_id", rounds: int = 4,
         lambda b: pa.table({id_col: b[id_col], "label": b[id_col]}),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    # symmetric edge list (a->b and b->a) so one join per round suffices
+    # symmetric edge list (a->b and b->a) so one join per round suffices;
+    # the source column is named id_col to join the labels on
     sym_edges = edges.map_batches(
         lambda b: pa.table(
             {
-                "src": pa.concat_arrays([b["id_a"].combine_chunks(), b["id_b"].combine_chunks()]),
+                id_col: pa.concat_arrays([b["id_a"].combine_chunks(), b["id_b"].combine_chunks()]),
                 "dst": pa.concat_arrays([b["id_b"].combine_chunks(), b["id_a"].combine_chunks()]),
             }
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
-    # size join parallelism to the cluster (this path only triggers at >5M
-    # edges — exactly when real parallelism is needed); each hash join spawns
-    # num_partitions aggregator actors, so cap to cpus//2 like
-    # verify_pairs_exact_jaccard does
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    join_parts = max(2, min(64, cpus // 2))
     for _ in range(rounds):
-        # message passing via hash join (distributed — labels never collect to
+        # message passing via spatial_join (distributed — labels never collect to
         # the driver, so this holds at 10^12-doc scale): each edge forwards its
-        # src's current label to dst.
+        # source's current label to dst.
         msgs = (
-            sym_edges.join(labels, join_type="inner", num_partitions=join_parts,
-                           on=("src",), right_on=(id_col,))
+            spatial_join(sym_edges, labels, on=(id_col,))
             .select_columns(["dst", "label"])
             .map_batches(lambda b: b.rename_columns([id_col, "label"]),
                          batch_format="pyarrow", zero_copy_batch=True)
@@ -734,18 +712,16 @@ def ngram_jaccard_pairs(texts_a: list[str], texts_b: list[str], n: int = 3) -> n
 
 
 def verify_pairs_exact_jaccard(pairs_ds, docs_ds, ngram: int = 3,
-                               id_col: str = "doc_id", text_col: str = "text",
-                               num_partitions: int | None = None):
+                               id_col: str = "doc_id", text_col: str = "text"):
     """Exact n-gram Jaccard for candidate pairs, distributed: each pair gets
     its TWO texts (broadcast lookup when the pair set is small, pair-sparse
-    hash joins at scale — never the corpus cross-product), then a vectorized
+    spatial_joins at scale — never the corpus cross-product), then a vectorized
     shingle/Jaccard per batch. Output: (id_a, id_b, est_jaccard, jaccard).
     The scale shape for 'n-gram Jaccard dedup': candidates come from
     MinHash-LSH; exactness comes from this verify."""
-    # broadcast regime below _PAIR_BROADCAST_MAX pairs (no join-actor
-    # spin-up), pair-sparse hash joins above — see _pair_texts
-    j = _pair_texts(pairs_ds.materialize(), docs_ds, id_col, text_col,
-                    num_partitions=num_partitions)
+    # broadcast regime below _PAIR_BROADCAST_MAX pairs, pair-sparse
+    # spatial_joins above — see _pair_texts
+    j = _pair_texts(pairs_ds.materialize(), docs_ds, id_col, text_col)
 
     def exact(b: pa.Table) -> pa.Table:
         ja = ngram_jaccard_pairs(b["text_a"].to_pylist(), b["text_b"].to_pylist(), ngram)
@@ -858,7 +834,7 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
        shuffle carries 8-byte hashes (2^-64 collision/pair), with
        ``key="text"`` raw grams (SQL-checkable);
     2. partial_groupby counts grams (map-side combine) -> dup-gram set;
-    3. re-explode (recompute beats materializing the fat stream) and hash-join
+    3. re-explode (recompute beats materializing the fat stream) and join
        the dup set back to (doc, off) rows — join output is dup-volume,
        not corpus-volume;
     4. ONE range sort by (doc, off), vectorized per-block interval merge,
@@ -866,9 +842,9 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
        side-channel pattern as the LSH candidate stitch.
     """
     import pyarrow.compute as pc
-    import ray
 
     from .agg import partial_groupby
+    from .join import spatial_join
 
     gcol = "g" if key == "text" else "gh"
 
@@ -925,14 +901,10 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
 
     grams = ds.map_batches(lambda b: explode(b, True), batch_format="pyarrow",
                            zero_copy_batch=True)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    nparts = max(2, min(16, cpus // 2))
-    # normalize the union/filter lineage before the join (Ray 2.49 rejects
-    # an all-empty join side — see join._normalize_blocks), and short-circuit
-    # the no-duplicates corpus: the dup set is the SMALL side by
-    # construction, so counting it here is cheap, and joining against an
-    # empty right side is a hard ArrowInvalid.
-    counts = counts.repartition(nparts).materialize()
+    # short-circuit the no-duplicates corpus: the dup set is the SMALL side
+    # by construction, so counting it here is cheap, and this fixes the
+    # empty output's schema.
+    counts = counts.materialize()
     if counts.count() == 0:
         import ray.data as rd
 
@@ -940,8 +912,7 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
         return rd.from_arrow(pa.table({id_col: pa.array([], id_t),
                                        "span_start": pa.array([], pa.int64()),
                                        "span_end": pa.array([], pa.int64())}))
-    covered = grams.join(counts, join_type="inner", on=(gcol,),
-                         num_partitions=nparts)
+    covered = spatial_join(grams, counts, on=(gcol,))
 
     covered = covered.select_columns([id_col, "off"]).sort([id_col, "off"])
 
@@ -1159,18 +1130,18 @@ def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
        ``key="text"`` keeps exact semantics (SQL-checkable).
     2. winner per paragraph = min(packed) via partial_groupby (map-side
        combine; shuffle final — paragraph cardinality is unbounded).
-    3. hash-join winners back to the slim row stream; kept = packed == win.
+    3. join winners back to the slim row stream; kept = packed == win.
     4. ONE range sort of the kept (packed)-only rows, per-block per-doc
        kept-index assembly (idx list as a csv string — primitive columns
        survive every Ray join/pandas path), block-edge docs stitched on the
        driver (O(#blocks) rows, same pattern as exact_substring_spans).
-    5. inner hash-join (doc_id, kept csv) x the original docs (text ships
+    5. inner join the original docs x (doc_id, kept csv) (text ships
        once per doc), then a vectorized-ish re-split + take + join per row.
     """
     import pyarrow.compute as pc
-    import ray
 
     from .agg import partial_groupby
+    from .join import spatial_join
 
     pcol = "para" if key == "text" else "ph"
 
@@ -1215,19 +1186,10 @@ def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
     else:
         winners = partial_groupby(chunks, [pcol], [("packed", "min", "win")],
                                   final="sort")
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    nparts = max(2, min(16, cpus // 2))
-    kept = chunks.join(winners, join_type="inner", on=(pcol,),
-                       num_partitions=nparts)
+    kept = spatial_join(chunks, winners, on=(pcol,))
     kept = kept.filter(expr="packed == win").select_columns(["packed"])
-
-    # filtered-join lineage can emit empty-schema blocks that break the
-    # next join (Ray 2.49, see join._normalize_blocks); rebuild blocks
-    inner = _packed_to_kept_csv(kept, id_col).repartition(nparts)
-
-    docs = ds.select_columns([id_col, text_col])
-    joined = inner.join(docs, join_type="inner", on=(id_col,),
-                        num_partitions=nparts)
+    inner = _packed_to_kept_csv(kept, id_col)
+    joined = spatial_join(ds.select_columns([id_col, text_col]), inner, on=(id_col,))
 
     def reassemble(b: pa.Table) -> pa.Table:
         texts = b[text_col].to_pylist()
@@ -1266,17 +1228,17 @@ def line_frequency_filter(ds, min_count: int = 2, delim: str = "\n",
        exact semantics (SQL-checkable).
     2. corpus count per line via partial_groupby (map-side combine;
        shuffle final — line cardinality is unbounded).
-    3. hash-join counts back to the slim rows; kept = count < min_count.
+    3. join counts back to the slim rows; kept = count < min_count.
     4. kept (packed) rows -> (doc, kept csv) via _packed_to_kept_csv
        (ONE range sort + O(#blocks) driver stitch).
-    5. inner hash-join with the original docs, vectorized-ish re-split +
+    5. inner join with the original docs, vectorized-ish re-split +
        take per row; n_lines is recomputed from the joined text (free —
        the text is already in hand), so the shuffled rows never carry it.
     """
     import pyarrow.compute as pc
-    import ray
 
     from .agg import partial_groupby
+    from .join import spatial_join
 
     kcol = "line" if key == "text" else "lh"
 
@@ -1310,19 +1272,10 @@ def line_frequency_filter(ds, min_count: int = 2, delim: str = "\n",
     else:
         counts = partial_groupby(rows, [kcol], [("packed", "count", "c")],
                                  final="sort")
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    nparts = max(2, min(16, cpus // 2))
-    kept = rows.join(counts, join_type="inner", on=(kcol,),
-                     num_partitions=nparts)
+    kept = spatial_join(rows, counts, on=(kcol,))
     kept = kept.filter(expr=f"c < {int(min_count)}").select_columns(["packed"])
-
-    # filtered-join lineage can emit empty-schema blocks that break the
-    # next join (Ray 2.49, see join._normalize_blocks); rebuild blocks
-    inner = _packed_to_kept_csv(kept, id_col).repartition(nparts)
-
-    docs = ds.select_columns([id_col, text_col])
-    joined = inner.join(docs, join_type="inner", on=(id_col,),
-                        num_partitions=nparts)
+    inner = _packed_to_kept_csv(kept, id_col)
+    joined = spatial_join(ds.select_columns([id_col, text_col]), inner, on=(id_col,))
 
     def reassemble(b: pa.Table) -> pa.Table:
         texts = b[text_col].to_pylist()
@@ -1392,7 +1345,7 @@ def bloom_dedup(new_ds, ref_ds, id_col: str = "doc_id", text_col: str = "text",
        are PROVEN absent (no false negatives) and pass through with zero
        shuffle.
     3. only Bloom positives (~overlap + 1% fp) enter the exact verify: a
-       slim left_outer hash join against the DISTINCT reference hashes —
+       slim left_outer join against the DISTINCT reference hashes —
        candidate-volume, not corpus-volume. False positives are removed
        here, so the result is exact (64-bit content-hash equality, the
        same contract as dedup_exact).
@@ -1401,6 +1354,7 @@ def bloom_dedup(new_ds, ref_ds, id_col: str = "doc_id", text_col: str = "text",
     int64 (bit-reinterpreted sha256 prefix) — Ray's shuffle machinery
     round-trips uint64 >= 2^63 through Python objects."""
     from .agg import partial_groupby
+    from .join import spatial_join
 
     def hash_i64(b: pa.Table) -> pa.Table:
         hs = content_hash_batch(b, text_col)["content_hash"]
@@ -1446,9 +1400,7 @@ def bloom_dedup(new_ds, ref_ds, id_col: str = "doc_id", text_col: str = "text",
     marked = ref_hashes.map_batches(
         lambda b: b.append_column("in_ref", pa.array(np.ones(b.num_rows, bool))),
         batch_format="pyarrow", zero_copy_batch=True)
-    verified = cand.join(marked, join_type="left_outer",
-                         on=("content_hash_i64",),
-                         num_partitions=_join_partitions())
+    verified = spatial_join(cand, marked, how="left_outer", on=("content_hash_i64",))
     survivors = verified.map_batches(
         lambda b: b.filter(pc.is_null(b["in_ref"])).drop_columns(["in_ref"]),
         batch_format="pyarrow", zero_copy_batch=True)

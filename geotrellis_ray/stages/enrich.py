@@ -75,15 +75,6 @@ def enrich_batch(batch: pa.Table, keep_html: bool = False, verify_text: bool = F
     return pa.table(cols)
 
 
-def geocode_only_batch(batch: pa.Table, url_col: str = "url") -> pa.Table:
-    """Hash-only geocode (no html/geotag) — for generic point tables."""
-    h = url_hash64_column(batch[url_col])
-    lat, lon = hash_coords(h)
-    return batch.append_column("lat", pa.array(lat, pa.float64())) \
-                .append_column("lon", pa.array(lon, pa.float64())) \
-                .append_column("h", pa.array(h, pa.uint64()))
-
-
 def assign_keys_batch(
     batch: pa.Table,
     zoom: int,

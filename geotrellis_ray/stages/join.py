@@ -5,8 +5,12 @@ Re-expresses ref:spark/src/main/scala/geotrellis/spark/join/SpatialJoin.scala
 empty at survey time; SURVEY.md §2.4) as an equi-join on the sfc column that
 broadcasts a small right side, one Arrow join per left batch of at least the
 right side's rows, and hash-shuffles a large one (spatial_join), plus semi/anti
-via broadcast key sets, and a partition-based (PBSM) large-large spatial join
-built from ClipToGrid explode + equi-join on sfc.
+via broadcast key sets, an interval join (range_join; a small interval side
+is broadcast like any other right side) and a partition-based (PBSM)
+large-large spatial join built from ClipToGrid explode + equi-join on sfc.
+Every engine equi-join goes through spatial_join: it is the one place that
+calls Ray's ``Dataset.join``, the one place that sizes its partitions, and it
+normalizes the blocks of the right side only.
 """
 
 from __future__ import annotations
@@ -37,11 +41,21 @@ _BROADCAST_MIN_BATCH_ROWS = 1 << 17
 _BROADCAST_HOW = ("inner", "left_outer")
 
 
+def _join_partitions() -> int:
+    """Ray hash joins spawn num_partitions aggregator ACTORS; size to the
+    cluster (chained joins beyond it deadlock silently)."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    return max(2, min(16, cpus // 2))
+
+
 def _normalize_blocks(ds, n: int):
     """Workaround for Ray 2.49: groupby().aggregate() can emit an EMPTY block
     with an EMPTY schema; Dataset.join then fails with ArrowInvalid ("no
     match for key field on right side"). A repartition rebuilds uniform
-    blocks. Only needed when a join input has aggregate lineage."""
+    blocks. Applied to the right side only: the left passes through as given
+    (see spatial_join)."""
     return ds.repartition(n)
 
 
@@ -55,20 +69,28 @@ def _broadcast_join(batch: pa.Table, *, right_ref, **join_kw) -> pa.Table:
     return batch.join(ray.get(right_ref), **join_kw)
 
 
-def spatial_join(left, right, how: str = "inner", num_partitions: int = 32,
+def spatial_join(left, right, how: str = "inner", num_partitions: int | None = None,
                  on: tuple[str, ...] = ("sfc",), left_suffix: str = "", right_suffix: str = "_r"):
     """Equi-join two keyed layers on sfc (or any key tuple); how is a Ray join
     type. Result bounds = combined metadata (computed by the caller's
-    aggregate pass when needed).
+    aggregate pass when needed). Every engine equi-join goes through here.
+    Both sides name their keys ``on``: callers rename a right key, which
+    gives the schema a ``right_on`` join would (keys coalesce to the left's
+    names).
 
     The right side is materialized once (unless it already is) and its size
-    read. An inner or left_outer join against a right side of at most
+    read, so callers put the slim or aggregate-lineage side on the right. An
+    inner or left_outer join against a right side of at most
     BROADCAST_MAX_BYTES that has a schema broadcasts it: one ``ray.put``, one
     Arrow join per left batch of max(right rows, _BROADCAST_MIN_BATCH_ROWS)
-    rows, no repartition, no join actors. Anything else repartitions both
-    sides (_normalize_blocks) into Ray's hash-partitioned ``Dataset.join``.
-    Same rows and schema either way (block boundaries and row order may
-    differ); the choice is logged at DEBUG."""
+    rows, no repartition, no join actors. Anything else repartitions the right
+    side only (_normalize_blocks) into ``num_partitions`` (default
+    _join_partitions()) and runs Ray's hash-partitioned ``Dataset.join``.
+    The left passes through as given: any lineage Ray accepts there,
+    including groupby-aggregate output with empty-schema blocks, a filter
+    that leaves one non-empty block, and a leading empty block (pinned in
+    tests/test_join_strategy.py). Same rows and schema either way (block
+    boundaries and row order may differ); the choice is logged at DEBUG."""
     import ray
     from ray.data.dataset import MaterializedDataset
 
@@ -90,9 +112,9 @@ def spatial_join(left, right, how: str = "inner", num_partitions: int = 32,
             _broadcast_join, batch_format="pyarrow", batch_size=batch_rows, zero_copy_batch=True,
             fn_kwargs={"right_ref": ray.put(table), "join_type": how.replace("_", " "),
                        "keys": list(on), "left_suffix": left_suffix, "right_suffix": right_suffix})
-    return _normalize_blocks(left, num_partitions).join(
-        _normalize_blocks(right, num_partitions), join_type=how, num_partitions=num_partitions,
-        on=on, left_suffix=left_suffix, right_suffix=right_suffix)
+    n = num_partitions or _join_partitions()
+    return left.join(_normalize_blocks(right, n), join_type=how, num_partitions=n, on=on,
+                     left_suffix=left_suffix, right_suffix=right_suffix)
 
 
 def semi_join_keys(ds, key_set, key_col: str = "sfc", anti: bool = False):
@@ -109,13 +131,13 @@ def semi_join_keys(ds, key_set, key_col: str = "sfc", anti: bool = False):
 
 
 def range_join(points_ds, intervals_ds, value_col: str, lo_col: str, hi_col: str,
-               bucket_width: float, num_partitions: int = 16,
-               point_suffix: str = "", interval_suffix: str = "_r"):
+               bucket_width: float, point_suffix: str = "", interval_suffix: str = "_r"):
     """Large-large interval join (the 1-D PBSM shape): match point rows to
     interval rows with ``lo <= value < hi``. Each point hashes to exactly ONE
     bucket (floor(value/width)); each interval EXPLODES to its covering
     buckets (flat map, no shuffle); an equi-join on the bucket co-locates
-    candidates; a vectorized refine applies the exact predicate. No pair can
+    candidates (spatial_join: a small interval side is broadcast, a large one
+    shuffled); a vectorized refine applies the exact predicate. No pair can
     duplicate: it only materializes in the point's own bucket.
 
     ``bucket_width`` trades explosion factor against join selectivity — pick
@@ -142,8 +164,8 @@ def range_join(points_ds, intervals_ds, value_col: str, lo_col: str, hi_col: str
 
     pts = points_ds.map_batches(pbucket, batch_format="pyarrow", zero_copy_batch=True)
     ivs = intervals_ds.map_batches(ibucket, batch_format="pyarrow", zero_copy_batch=True)
-    joined = pts.join(ivs, join_type="inner", num_partitions=num_partitions,
-                      on=("__bucket",), left_suffix=point_suffix, right_suffix=interval_suffix)
+    joined = spatial_join(pts, ivs, on=("__bucket",), left_suffix=point_suffix,
+                          right_suffix=interval_suffix)
 
     def refine(b: pa.Table) -> pa.Table:
         v = b[value_col].to_numpy(zero_copy_only=False)
@@ -155,8 +177,7 @@ def range_join(points_ds, intervals_ds, value_col: str, lo_col: str, hi_col: str
     return joined.map_batches(refine, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def pbsm_spatial_join(points_ds, polygons_ds, layout, zoom: int, num_partitions: int = 32,
-                      wkb_col: str = "wkb"):
+def pbsm_spatial_join(points_ds, polygons_ds, layout, zoom: int, wkb_col: str = "wkb"):
     """Large-large spatial join (partition-based spatial-merge): explode the
     polygon side to covering sfc keys via ClipToGrid, equi-join on sfc, then
     exact PIP refine per joined batch. Use when the polygon side is too large
@@ -185,7 +206,7 @@ def pbsm_spatial_join(points_ds, polygons_ds, layout, zoom: int, num_partitions:
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    joined = spatial_join(points_ds, exploded, how="inner", num_partitions=num_partitions)
+    joined = spatial_join(points_ds, exploded, how="inner")
 
     def refine(batch: pa.Table) -> pa.Table:
         # post-join row count is the biggest dataflow in a large-large join:

@@ -116,19 +116,20 @@ def layer_local_scalar(ds, op: str, scalar: float):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def layer_local_binary(ds_a, ds_b, op: str, num_partitions: int = 32):
-    """Local map algebra between two layers: equi-join on sfc (hash shuffle,
+def layer_local_binary(ds_a, ds_b, op: str):
+    """Local map algebra between two layers: equi-join on sfc (spatial_join,
     SpatialJoin semantics) then the cell-wise op on each matched tile pair."""
+    from .join import spatial_join
+
     f = BINARY_OPS[op]
     b2 = ds_b.map_batches(
         lambda b: pa.table(
-            {"sfc_r": b["sfc"], "cells_r": b["cells"], "cols_r": b["cols"],
+            {"sfc": b["sfc"], "cells_r": b["cells"], "cols_r": b["cols"],
              "rows_r": b["rows"], "cell_type_r": b["cell_type"]}
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    joined = ds_a.join(b2, join_type="inner", num_partitions=num_partitions,
-                       on=("sfc",), right_on=("sfc_r",))
+    joined = spatial_join(ds_a, b2)
 
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

@@ -41,10 +41,6 @@ def filter_between(ds, t_min_bin: int, t_max_bin: int, col: str = "time_bin"):
     return ds.filter(expr=f"{col} >= {int(t_min_bin)} and {col} <= {int(t_max_bin)}")
 
 
-def filter_at(ds, t_bin: int, col: str = "time_bin"):
-    return ds.filter(expr=f"{col} == {int(t_bin)}")
-
-
 def to_spatial(ds, agg_specs=None):
     """Collapse the temporal component. With agg_specs (partial_groupby
     format), same-SpatialKey rows across time bins are merged; without,

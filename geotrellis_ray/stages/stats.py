@@ -395,18 +395,6 @@ def zonal_stats_fractional_grid(tiles_ds, scale_num: int, scale_den: int,
     return g.map_batches(add_mean, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def zonal_histogram(joined_ds, zone_col: str, value_col: str):
-    """Per-zone exact histogram: grouped FastMap sketches via map_groups."""
-
-    def per_zone(g: pd.DataFrame) -> pd.DataFrame:
-        h = FastMapHistogram().update(g[value_col].to_numpy())
-        import json
-
-        return pd.DataFrame({zone_col: [g[zone_col].iloc[0]], "histogram": [json.dumps(h.to_dict())]})
-
-    return joined_ds.groupby(zone_col).map_groups(per_zone, batch_format="pandas")
-
-
 def approx_distinct_sketch(ds, value_col: str, p: int = 12):
     """The distributed half of approx_distinct, returning the merged
     HyperLogLog itself: one ~4 KB register sketch per block (map_batches

@@ -533,7 +533,7 @@ def window_rank_stats(ds, part_col: str, ord_col: str, id_col: str,
 
 
 def moving_window_sum(ds, part_col: str, ord_col: str, id_col: str,
-                      val_col: str, k: int, num_partitions: int | None = None):
+                      val_col: str, k: int):
     """Moving k-row window aggregate — SUM(val) OVER (PARTITION BY part
     ORDER BY ord, id ROWS BETWEEN k-1 PRECEDING AND CURRENT ROW), plus the
     actual window row count w_n = min(rn, k) and the window mean (one IEEE
@@ -542,30 +542,27 @@ def moving_window_sum(ds, part_col: str, ord_col: str, id_col: str,
 
     Composed from verified parts: window_rank supplies exact running sums
     (rsum) and row numbers (rn) off ONE global range sort; the k-row sum
-    is then rsum[rn] - rsum[rn-k], recovered with one slim self hash-join
-    on (part, rn) — each side ships 3 thin columns per row, the event
-    payload never enters the exchange. Same integer contracts as
+    is then rsum[rn] - rsum[rn-k], recovered with one slim left-outer self
+    spatial_join on (part, rn) — each side ships 3 thin columns per row, the
+    event payload never enters the exchange. Same integer contracts as
     window_rank (ord/val integer-castable, id integer + globally
     unique)."""
-    import ray
     import pyarrow.compute as pc
+
+    from .join import spatial_join
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        num_partitions = max(2, min(16, cpus // 2))
 
     m = window_rank(ds, part_col, ord_col, id_col, val_col)
     left = m.map_batches(lambda b: b.select([id_col, part_col, "rn", "rsum"]),
                          batch_format="pyarrow", zero_copy_batch=True)
     right = m.map_batches(
-        lambda b: pa.table({"__rp": b[part_col],
-                            "__rn_tgt": pc.add(b["rn"], k),
+        lambda b: pa.table({part_col: b[part_col],
+                            "rn": pc.add(b["rn"], k),
                             "__lag": b["rsum"]}),
         batch_format="pyarrow", zero_copy_batch=True)
-    j = left.join(right, "left_outer", num_partitions,
-                  on=(part_col, "rn"), right_on=("__rp", "__rn_tgt"))
+    j = spatial_join(left, right, how="left_outer", on=(part_col, "rn"))
 
     def finish(b: pa.Table) -> pa.Table:
         rsum = b["rsum"].to_numpy(zero_copy_only=False)

@@ -2,7 +2,10 @@
 side. Both paths must give the same rows and the same schema, and both must
 match a DuckDB join: uint64 keys at or above 2^63, tuple keys, duplicate and
 null keys, a suffixed non-key column, an empty right side, a right side with
-aggregate lineage, and one-row and empty left blocks. The broadcast path also
+aggregate lineage, and one-row and empty left blocks. The shuffle path passes
+its left side through unrepartitioned, so they also run on left sides with
+groupby-aggregate lineage, filtered down to one non-empty block, and with a
+leading empty block. The broadcast path also
 runs with its batch floor cut to a few dozen rows, so that batches split left
 blocks and span them, and on a left side whose blocks are all empty."""
 
@@ -50,6 +53,47 @@ def _left_ds():
     return ray.data.from_arrow([LEFT.slice(0, 1), LEFT.slice(1, 0), LEFT.slice(1, 200), LEFT.slice(201)])
 
 
+def _aggregated_left():
+    """The keyed rows among LEFT's first 8 through a groupby count over its
+    columns but sfc (Ray's sort samples uint64 >= 2^63 as Python objects),
+    from 8 blocks; sfc is rebuilt from (key_col, key_row) after it. The
+    partitions without rows come out as blocks with an empty schema."""
+    def rebuild(b: pa.Table) -> pa.Table:
+        if not b.num_columns:
+            return b
+        k = pc.add(pc.multiply(b["key_row"], 7), b["key_col"]).to_numpy().astype(np.uint64)
+        return b.select(LEFT.column_names[1:]).add_column(0, "sfc", pa.array(HIGH + k))
+
+    few = pc.and_(pc.is_valid(LEFT["sfc"]), pc.less(LEFT["lid"], 8))
+    ds = (ray.data.from_arrow(LEFT.filter(few)).repartition(8)
+          .groupby(LEFT.column_names[1:]).count()
+          .map_batches(rebuild, batch_format="pyarrow").materialize())
+    assert any(t.num_columns == 0 for t in ray.get(ds.to_arrow_refs()))
+    return ds
+
+
+def _filtered_left():
+    """Three blocks of which a filter leaves rows in the first only."""
+    ds = ray.data.from_arrow([LEFT.slice(0, 150), LEFT.slice(150, 150), LEFT.slice(300)])
+    ds = ds.filter(expr="lid < 100").materialize()
+    assert sum(t.num_rows > 0 for t in ray.get(ds.to_arrow_refs())) == 1
+    return ds
+
+
+def _leading_empty_left():
+    ds = ray.data.from_arrow([LEFT.slice(0, 0), LEFT.slice(0, 200), LEFT.slice(200)])
+    assert ray.get(ds.to_arrow_refs()[0]).num_rows == 0
+    return ds
+
+
+LEFTS = {
+    "blocks": _left_ds,
+    "aggregate_left": _aggregated_left,
+    "filtered_left": _filtered_left,
+    "leading_empty_left": _leading_empty_left,
+}
+
+
 def _table(ds) -> pa.Table:
     parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
     return pa.concat_tables(parts)
@@ -59,9 +103,9 @@ def _sorted(t: pa.Table) -> pa.Table:
     return t.sort_by([(c, "ascending") for c in t.column_names])
 
 
-def _oracle(right: pa.Table, on, how: str) -> pa.Table:
+def _oracle(right: pa.Table, on, how: str, left: pa.Table = LEFT) -> pa.Table:
     con = duckdb.connect()
-    con.register("lt", LEFT)
+    con.register("lt", left)
     con.register("rt", right)
     rcols = [c for c in right.column_names if c not in on]
     sel = [f'lt."{c}"' for c in LEFT.column_names] + [
@@ -76,11 +120,11 @@ def _join_log(caplog) -> dict:
     return [r for r in caplog.records if r.name == join_mod.__name__][-1].args
 
 
-def _run(right_ds, on, how, choice, monkeypatch, caplog) -> pa.Table:
+def _run(left_ds, right_ds, on, how, choice, monkeypatch, caplog) -> pa.Table:
     if choice == "shuffle":
         monkeypatch.setattr(join_mod, "BROADCAST_MAX_BYTES", -1)
     with caplog.at_level(logging.DEBUG, logger=join_mod.__name__):
-        ds = join_mod.spatial_join(_left_ds(), right_ds, how, num_partitions=2, on=on).materialize()
+        ds = join_mod.spatial_join(left_ds, right_ds, how, num_partitions=2, on=on).materialize()
     log = _join_log(caplog)
     assert log["choice"] == choice
     if choice == "broadcast":
@@ -109,27 +153,36 @@ CASES = {
 }
 
 
+# every left lineage against every right case; the default left keeps the
+# plain right-case id
+SIDES = [(lc, c) for lc in LEFTS for c in sorted(CASES)]
+
+
 @pytest.mark.parametrize("how", ["inner", "left_outer"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_broadcast_and_shuffle_agree_with_duckdb(ray_session, monkeypatch, caplog, case, how):
+@pytest.mark.parametrize("left_case,case", SIDES,
+                         ids=[c if lc == "blocks" else f"{lc}-{c}" for lc, c in SIDES])
+def test_broadcast_and_shuffle_agree_with_duckdb(ray_session, monkeypatch, caplog, left_case,
+                                                 case, how):
     make_right, on = CASES[case]
     right_ds = make_right()
-    broadcast = _run(right_ds, on, how, "broadcast", monkeypatch, caplog)
+    left_ds = LEFTS[left_case]()
+    broadcast = _run(left_ds, right_ds, on, how, "broadcast", monkeypatch, caplog)
     if case == "empty_right":
         # Ray 2.49's hash join builds its right partitions from rows only, so
         # a right side without rows leaves it no key column to join on; the
         # broadcast path (which always takes a zero-byte side) has the schema
         with pytest.raises(Exception, match="key field"):
-            _run(right_ds, on, how, "shuffle", monkeypatch, caplog)
+            _run(left_ds, right_ds, on, how, "shuffle", monkeypatch, caplog)
     else:
-        shuffle = _run(right_ds, on, how, "shuffle", monkeypatch, caplog)
+        shuffle = _run(left_ds, right_ds, on, how, "shuffle", monkeypatch, caplog)
         assert broadcast.schema == shuffle.schema
         assert _sorted(broadcast).equals(_sorted(shuffle))
-    expected = _oracle(_table(right_ds), on, how)
+    left = _table(left_ds)
+    expected = _oracle(_table(right_ds), on, how, left)
     assert expected.column_names == broadcast.column_names
     assert _sorted(expected.cast(broadcast.schema)).equals(_sorted(broadcast))
     if case in ("sfc", "tuple_key"):
-        assert "v_r" in broadcast.column_names and broadcast.num_rows > LEFT.num_rows // 2
+        assert "v_r" in broadcast.column_names and broadcast.num_rows > left.num_rows // 2
 
 
 # a batch floor of a few dozen rows: batches of max(right rows, 24) rows, at

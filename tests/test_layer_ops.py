@@ -67,7 +67,7 @@ def test_local_scalar_and_binary(ray_session):
 
     a = make_layer(KEYS, seed=0)
     b = make_layer(KEYS[:5], seed=1)  # partial overlap -> inner join keeps 5
-    got = layer_to_dict(layer_local_binary(a, b, "add", num_partitions=4))
+    got = layer_to_dict(layer_local_binary(a, b, "add"))
     assert set(got) == set(KEYS[:5])
     for k in KEYS[:5]:
         np.testing.assert_allclose(got[k], tile_values(*k, 0) + tile_values(*k, 1), equal_nan=True)

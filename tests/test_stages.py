@@ -327,8 +327,7 @@ def test_pbsm_spatial_join_brute_oracle(ray_session):
     from geotrellis_ray.stages.join import pbsm_spatial_join
 
     got = (
-        pbsm_spatial_join(pts, ray.data.from_arrow(convex.select(["polygon_id", "wkb"])), layout, zoom=5,
-                          num_partitions=4)
+        pbsm_spatial_join(pts, ray.data.from_arrow(convex.select(["polygon_id", "wkb"])), layout, zoom=5)
         .to_pandas()[["pt_id", "polygon_id"]]
         .sort_values(["pt_id", "polygon_id"])
         .reset_index(drop=True)

@@ -106,7 +106,7 @@ def test_range_join_matches_pandas(ray_session):
 
     got = range_join(ray.data.from_arrow(pts).repartition(7),
                      ray.data.from_arrow(ivs).repartition(3),
-                     "v", "lo", "hi", bucket_width=10.0, num_partitions=4).to_pandas()
+                     "v", "lo", "hi", bucket_width=10.0).to_pandas()
     got = got[["pt_id", "iv_id"]].sort_values(["pt_id", "iv_id"]).reset_index(drop=True)
     lo = ivs["lo"].to_numpy(); hi2 = ivs["hi"].to_numpy()
     exp_rows = [(int(p), int(i)) for p in range(nv) for i in range(30)
