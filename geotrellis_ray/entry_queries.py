@@ -140,8 +140,7 @@ def q1_pricing_summary(sf_dir: str):
         prepped,
         ["l_returnflag", "l_linestatus"],
         [("l_quantity", "sum", "sum_qty"), ("price_cents", "sum", "sum_price_cents"),
-         ("l_quantity", "count", "count_order")],
-    final="single")
+         ("l_quantity", "count", "count_order")])
 
 
 SQL_Q1 = """
@@ -168,8 +167,7 @@ def q_filter_range(sf_dir: str):
     )
     return partial_groupby(
         filt, ["l_returnflag"],
-        [("l_quantity", "count", "n"), ("l_quantity", "sum", "sum_qty")],
-    final="single")
+        [("l_quantity", "count", "n"), ("l_quantity", "sum", "sum_qty")])
 
 
 SQL_FILTER_RANGE = """
@@ -204,8 +202,7 @@ def q_join_customer_orders(sf_dir: str):
                           cust.rename_columns({"c_custkey": "o_custkey"}), on=("o_custkey",))
     return partial_groupby(
         joined, ["c_mktsegment"],
-        [("price_cents", "count", "n_orders"), ("price_cents", "sum", "sum_price_cents")],
-    final="single")
+        [("price_cents", "count", "n_orders"), ("price_cents", "sum", "sum_price_cents")])
 
 
 SQL_JOIN_CO = """
@@ -225,7 +222,7 @@ def q_join_nation_rollup(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey"])
     cn = spatial_join(cust, nation.rename_columns({"n_nationkey": "c_nationkey"}), on=("c_nationkey",))
     j = spatial_join(orders, cn.rename_columns({"c_custkey": "o_custkey"}), on=("o_custkey",))
-    return partial_groupby(j, ["n_name"], [("n_name", "count", "n_orders")], final="single")
+    return partial_groupby(j, ["n_name"], [("n_name", "count", "n_orders")])
 
 
 SQL_JOIN_NATION = """
@@ -334,8 +331,7 @@ def q_events_hourly(sf_dir: str):
     prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     return partial_groupby(
         prepped, ["event_type", "time_bin"],
-        [("value_cents", "count", "n"), ("value_cents", "sum", "sum_value_cents")],
-    final="single")
+        [("value_cents", "count", "n"), ("value_cents", "sum", "sum_value_cents")])
 
 
 SQL_EVENTS_HOURLY = """
@@ -1278,8 +1274,7 @@ def q_lang_stats(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return partial_groupby(
-        ds, ["lang"], [("n_chars", "count", "n_docs"), ("n_chars", "sum", "sum_chars")]
-    , final="single")
+        ds, ["lang"], [("n_chars", "count", "n_docs"), ("n_chars", "sum", "sum_chars")])
 
 
 SQL_LANG_STATS = """
@@ -1300,7 +1295,7 @@ def q_tile_assign_events(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True,
     )
     # map-side combine then tiny groupby (the scale pattern)
-    return partial_groupby(keyed, ["key_col", "key_row"], [("key_col", "count", "n_docs")], final="single")
+    return partial_groupby(keyed, ["key_col", "key_row"], [("key_col", "count", "n_docs")])
 
 
 SQL_TILE_ASSIGN = f"""
@@ -1331,8 +1326,7 @@ def q_pip_rect_grid(sf_dir: str):
     )
     return partial_groupby(
         joined, ["polygon_id"],
-        [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")],
-    final="single")
+        [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")])
 
 
 SQL_PIP_RECT = f"""
@@ -1456,7 +1450,7 @@ def q_spatial_join_layers(sf_dir: str):
         lambda b: _tile_keys_z4(derive_coords_batch(b, "c_custkey")),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    cust_tiles = partial_groupby(cust, ["key_col", "key_row"], [("key_col", "count", "n_customers")], final="single")
+    cust_tiles = partial_groupby(cust, ["key_col", "key_row"], [("key_col", "count", "n_customers")])
     return spatial_join(ev, cust_tiles, "inner", on=("key_col", "key_row"))
 
 
@@ -1699,7 +1693,7 @@ def q_cell_counts_hex(sf_dir: str):
     # map-side combine: ~2k distinct cells from 1M rows — shuffle partials,
     # never the full row stream
     cells = ds.map_batches(addcell, batch_format="pyarrow", zero_copy_batch=True)
-    return partial_groupby(cells, ["cell"], [("cell", "count", "n")], final="single")
+    return partial_groupby(cells, ["cell"], [("cell", "count", "n")])
 
 
 SQL_CELL_COUNTS_S2 = f"""
@@ -1801,8 +1795,7 @@ def q_cell_counts_geohash(sf_dir: str):
         return pa.table({"cell": pa.array(list(gh), pa.string())})
 
     cells = ds.map_batches(addcell, batch_format="pyarrow", zero_copy_batch=True)
-    return partial_groupby(cells, ["cell"], [("cell", "count", "n")],
-                           final="shuffle")
+    return partial_groupby(cells, ["cell"], [("cell", "count", "n")])
 
 
 def q_cell_counts_s2(sf_dir: str):
@@ -1831,7 +1824,7 @@ def q_cell_counts_s2(sf_dir: str):
         return pa.table({"cell_c": pa.array((c >> SHIFT).view(np.int64), pa.int64())})
 
     cells = ds.map_batches(addcell, batch_format="pyarrow", zero_copy_batch=True)
-    counts = partial_groupby(cells, ["cell_c"], [("cell_c", "count", "n")], final="single")
+    counts = partial_groupby(cells, ["cell_c"], [("cell_c", "count", "n")])
 
     def expand(b: pa.Table) -> pa.Table:
         compact = b["cell_c"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -2480,8 +2473,7 @@ def q_cliptogrid_rects(sf_dir: str):
     )
     return partial_groupby(
         exploded, ["polygon_id"],
-        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")],
-        final="single")
+        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")])
 
 
 def _sql_cliptogrid_rects() -> str:
@@ -2547,8 +2539,7 @@ def q_geojson_rects(sf_dir: str):
     )
     return partial_groupby(
         exploded, ["polygon_id"],
-        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")],
-        final="single")
+        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")])
 
 
 def q_geoparquet_tris(sf_dir: str):
@@ -2631,8 +2622,7 @@ def q_shapefile_rects(sf_dir: str):
     )
     return partial_groupby(
         exploded, ["polygon_id"],
-        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")],
-        final="single")
+        [("key_col", "count", "n_keys"), ("full_i", "sum", "n_full")])
 
 
 def q_cliptogrid_toy(sf_dir: str):
@@ -2649,7 +2639,7 @@ def q_cliptogrid_toy(sf_dir: str):
     from .stages.agg import partial_groupby
 
     return partial_groupby(exploded, ["polygon_id"],
-                           [("polygon_id", "count", "n_keys")], final="single")
+                           [("polygon_id", "count", "n_keys")])
 
 
 _POLY_CACHE: list = []
@@ -3152,8 +3142,7 @@ def q_polygonal_summary(sf_dir: str):
     return partial_groupby(
         joined, ["polygon_id"],
         [("value_cents", "sum", "sum_value_cents"), ("value_cents", "count", "n_events"),
-         ("value_cents", "min", "min_value_cents"), ("value_cents", "max", "max_value_cents")],
-    final="single")
+         ("value_cents", "min", "min_value_cents"), ("value_cents", "max", "max_value_cents")])
 
 
 SQL_POLY_SUMMARY = f"""
@@ -3344,7 +3333,7 @@ def q_spacetime_counts(sf_dir: str):
         lambda b: assign_spacetime_key_batch(b, ts_col="ts", time_bin_us=DAY_US),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    out = partial_groupby(ds, ["key_col", "key_row", "time_bin"], [("key_col", "count", "n")], final="single")
+    out = partial_groupby(ds, ["key_col", "key_row", "time_bin"], [("key_col", "count", "n")])
     return out
 
 
@@ -3519,8 +3508,7 @@ def q_semi_anti_join(sf_dir: str):
     )
     return partial_groupby(
         semi.union(anti), ["side"],
-        [("event_id", "count", "n"), ("event_id", "min", "min_event")],
-        final="single")
+        [("event_id", "count", "n"), ("event_id", "min", "min_event")])
 
 
 SQL_SEMI_ANTI = f"""
@@ -3751,8 +3739,7 @@ def q_range_join(sf_dir: str):
                         bucket_width=12.5)
     return partial_groupby(
         joined, ["interval_id"],
-        [("event_id", "count", "n"), ("event_id", "min", "min_event")],
-        final="single")
+        [("event_id", "count", "n"), ("event_id", "min", "min_event")])
 
 
 SQL_RANGE_JOIN = """
@@ -3811,8 +3798,7 @@ def q_pbsm_join(sf_dir: str):
     joined = pbsm_spatial_join(pts, polys, LATLNG_Z4, zoom=4)
     return partial_groupby(
         joined, ["polygon_id"],
-        [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")],
-    final="single")
+        [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")])
 
 
 SQL_PBSM = f"""
@@ -4076,7 +4062,7 @@ def q_geojson_cliptogrid(sf_dir: str):
     from .stages.agg import partial_groupby
 
     return partial_groupby(exploded, ["polygon_id"],
-                           [("polygon_id", "count", "n_keys")], final="single")
+                           [("polygon_id", "count", "n_keys")])
 
 
 _CD_SOURCES = (131, 3251)  # global cell ids: (gr=2,gc=3), (gr=50,gc=51)
@@ -6750,8 +6736,7 @@ def q_flagship_tiles_events(sf_dir: str):
         joined.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
         ["key_col", "key_row"],
         [("n_hits", "count", "n_docs"), ("n_hits", "sum", "sum_hits"),
-         ("hit_doc", "sum", "hit_docs"), ("best_pid", "sum", "sum_best_pid")],
-        final="single")
+         ("hit_doc", "sum", "hit_docs"), ("best_pid", "sum", "sum_best_pid")])
 
 
 def _sql_flagship_tiles() -> str:

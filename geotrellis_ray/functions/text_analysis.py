@@ -288,10 +288,9 @@ def tfidf_top_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "tex
     # recomputing the tokenize pass for each consumer (two full text
     # scans). One spillable slim pass < two corpus scans.
     n_docs = ds.count()
-    # vocabulary cardinality is corpus-sized at web scale -> sort-based final
-    # (Ray's Aggregate pays ~300x per group when #groups ~ #rows; r5 finding)
-    df_tbl = partial_groupby(terms, ["term"], [("doc_id", "count", "df")],
-                             final="sort")
+    # vocabulary cardinality is corpus-sized at web scale: partial_groupby
+    # takes its sort merge above agg._SINGLE_FINAL_MAX_BYTES of partial rows
+    df_tbl = partial_groupby(terms, ["term"], [("doc_id", "count", "df")])
     joined = spatial_join(terms, df_tbl, on=("term",))
 
     def score(batch: pa.Table) -> pa.Table:

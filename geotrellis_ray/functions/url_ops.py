@@ -63,10 +63,11 @@ def canonicalize_batch(batch: pa.Table, url_col: str = "url",
 def url_dedup(ds, url_col: str = "url", id_col: str = "doc_id"):
     """Canonical-URL dedup rollup: (canonical_url, n_dups, first_doc) with
     first_doc = min id per canonical key. Scale shape: the map side projects
-    to slim (canonical, id) rows before the ONE range sort; canonical
-    cardinality is corpus-sized (unbounded), so the final merge is the
-    sort-based segment reduce (final="sort") — Ray's Aggregate pays ~300x
-    per group in this regime (r5 finding, agg.py:sort_group_aggregate)."""
+    to slim (canonical, id) rows before the final merge; canonical
+    cardinality is corpus-sized (unbounded), so above
+    agg._SINGLE_FINAL_MAX_BYTES of partial rows partial_groupby's merge is the
+    sort-based segment reduce — Ray's Aggregate pays ~300x per group in
+    this regime (r5 finding, agg.py:sort_group_aggregate)."""
     from ..stages.agg import partial_groupby
 
     slim = ds.map_batches(
@@ -75,5 +76,4 @@ def url_dedup(ds, url_col: str = "url", id_col: str = "doc_id"):
         batch_format="pyarrow", zero_copy_batch=True)
     return partial_groupby(
         slim, ["canonical_url"],
-        [(id_col, "count", "n_dups"), (id_col, "min", "first_doc")],
-        final="sort")
+        [(id_col, "count", "n_dups"), (id_col, "min", "first_doc")])

@@ -526,12 +526,11 @@ def _op_pyramid_up_levels(ds, catalog: str, name: str, zoom: int, down_to: int =
 
 
 def _op_zonal_fractional(ds, scale_num: int, scale_den: int,
-                         off_x_num: int = 0, off_y_num: int = 0,
-                         final: str = "single"):
+                         off_x_num: int = 0, off_y_num: int = 0):
     from ..stages.stats import zonal_stats_fractional_grid
 
     return zonal_stats_fractional_grid(ds, scale_num, scale_den,
-                                       off_x_num, off_y_num, final=final)
+                                       off_x_num, off_y_num)
 
 
 def _op_simplify(ds, tolerance: float, wkb_col: str = "wkb"):

@@ -1,11 +1,18 @@
-"""Partial (combiner) aggregation — the scale pattern for low-cardinality
-groupbys (GeoTrellis's combineByKey with map-side combine; SURVEY.md §2.5).
+"""Partial (combiner) aggregation — the scale pattern for groupbys
+(GeoTrellis's combineByKey with map-side combine; SURVEY.md §2.5).
 
 ``partial_groupby`` aggregates each Arrow batch locally with
-``pa.Table.group_by`` (vectorized, zero shuffle), so the all-to-all exchange
-moves only ~(#groups x #blocks) partial rows instead of the full input. At
-10^12 rows with a handful of groups this is the difference between shuffling
-terabytes and shuffling kilobytes.
+``pa.Table.group_by`` (vectorized, zero shuffle), so the final merge sees
+only ~(#groups x #blocks) partial rows instead of the full input. At 10^12
+rows with a handful of groups this is the difference between shuffling
+terabytes and shuffling kilobytes. ``grouped_top_k`` is the same pattern
+with a per-group top-k as the combiner.
+
+Both end in ``_grouped_final``, which measures the partial stream once and
+picks the merge from its size in bytes: on the driver up to
+``_SINGLE_DRIVER_MAX_BYTES``, one whole block up to
+``_SINGLE_FINAL_MAX_BYTES``, a range sort above (the sort_* functions below,
+built for #groups ~ #rows). No call site picks.
 
 Supported specs: ("col", "sum"), ("col", "min"), ("col", "max"),
 ("col", "count" -> output alias counts rows). Output column names are the
@@ -14,16 +21,131 @@ aliases given, matching the oracle SQL exactly.
 
 from __future__ import annotations
 
+import logging
+
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+logger = logging.getLogger(__name__)
+
+# up to this many bytes of partial rows the final merge runs on the DRIVER
+# (concat of the materialized partial blocks): cheaper than even a
+# repartition(1) (~0.1 s vs ~0.25 s for its all-to-all operator, measured)
+_SINGLE_DRIVER_MAX_BYTES = 4 << 20
+# up to this many bytes the merge reduces ONE block on one task: Ray Data's
+# default target_max_block_size, so the block is no larger than one Ray
+# would build itself. Bytes, not rows: partial rows with text keys are 10x
+# the size of rows with integer keys. Above it the merge is a range sort.
+_SINGLE_FINAL_MAX_BYTES = 128 << 20
+
+
+def _empty_input(ds) -> pa.Table:
+    """A zero-row table with ``ds``'s schema (only the first block is read)."""
+    sch = ds.schema(fetch_if_missing=True)
+    return pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
+
+
+def _grouped_final(partial, reduce, sort, empty, site: str):
+    """The last merge of a combined partial stream. ``reduce`` maps the
+    concatenated partial rows to the answer; ``sort`` is the range-sort
+    merge for a stream too large for one block; ``empty()`` builds the
+    typed answer when there are no partial rows at all. Logs
+    ``{site, choice, partial_rows, partial_bytes, threshold}`` at DEBUG.
+
+    The stream is materialized to be measured, so on the sort branch its
+    blocks stay in the object store while the sort runs (~2x the stream at
+    the peak; the sort would hold its own copy of them anyway)."""
+    import ray
+    import ray.data as rd
+
+    partial = partial.materialize()
+    n, size = partial.count(), partial.size_bytes()
+    if n == 0 or size <= _SINGLE_DRIVER_MAX_BYTES:
+        choice, threshold = "driver", _SINGLE_DRIVER_MAX_BYTES
+    elif size <= _SINGLE_FINAL_MAX_BYTES:
+        choice, threshold = "one_block", _SINGLE_FINAL_MAX_BYTES
+    else:
+        choice, threshold = "sort", _SINGLE_FINAL_MAX_BYTES
+    logger.debug("grouped final %s", {"site": site, "choice": choice, "partial_rows": n,
+                                      "partial_bytes": size, "threshold": threshold})
+    if n == 0:
+        return rd.from_arrow(empty())
+    if choice == "driver":
+        parts = [t for t in ray.get(partial.to_arrow_refs()) if t.num_rows]
+        return rd.from_arrow(reduce(pa.concat_tables(parts)))
+    if choice == "one_block":
+        # batch_size=None = the whole (single) block in one batch -> exact
+        return partial.repartition(1).map_batches(
+            reduce, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+    return sort(partial)
+
+
+def _group_starts(t: pa.Table, keys) -> np.ndarray:
+    """Mask of the rows of a key-sorted table that start a new group. Nulls
+    equal nulls and NaN equals NaN, as in SQL GROUP BY."""
+    new = np.zeros(t.num_rows, dtype=bool)
+    new[:1] = True
+    for c in keys:
+        cur, prev = t[c].slice(1), t[c].slice(0, max(t.num_rows - 1, 0))
+        same = pc.or_kleene(pc.equal(cur, prev), pc.and_(cur.is_null(), prev.is_null()))
+        if pa.types.is_floating(t.schema.field(c).type):
+            same = pc.or_kleene(same, pc.and_(pc.is_nan(cur), pc.is_nan(prev)))
+        new[1:] |= ~pc.fill_null(same, False).to_numpy(zero_copy_only=False)
+    return new
+
+
+def _range_sort(ds, sort_keys):
+    """``ds`` range-sorted by [(col, "ascending"|"descending")] in Arrow's
+    order: NaN, then null, last in either direction. Ray 2.49's range
+    partitioner compares sampled rows as Python objects, which fails on a
+    null in a string column and places NaN and null apart from Arrow's
+    block sort. So each sort column is filled (NaN and null -> 0 or "") and
+    sorted after an int8 class column (0 value, 1 NaN, 2 null); the column
+    is restored after the sort. Block boundaries are kept: one batch per
+    sorted block."""
+    cols = [c for c, _o in sort_keys]
+
+    def fill(b: pa.Table) -> pa.Table:
+        for i, c in enumerate(cols):
+            col, t = b[c], b.schema.field(c).type
+            cls = pc.if_else(col.is_null(), 2, 0)
+            if pa.types.is_floating(t):
+                cls = pc.if_else(pc.fill_null(pc.is_nan(col), False), 1, cls)
+            text = pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t)
+            zero = pa.scalar("" if text else 0).cast(t)
+            b = b.set_column(b.schema.get_field_index(c), c, pc.if_else(pc.equal(cls, 0), col, zero))
+            b = b.append_column(f"__cls{i}", pc.cast(cls, pa.int8()))
+        return b
+
+    def restore(b: pa.Table) -> pa.Table:
+        for i, c in enumerate(cols):
+            col, t, cls = b[c], b.schema.field(c).type, b[f"__cls{i}"]
+            col = pc.if_else(pc.equal(cls, 2), pa.scalar(None, t), col)
+            if pa.types.is_floating(t):
+                col = pc.if_else(pc.equal(cls, 1), pa.scalar(float("nan"), t), col)
+            b = b.set_column(b.schema.get_field_index(c), c, col)
+        return b.drop_columns([f"__cls{i}" for i in range(len(cols))])
+
+    order = [name for i, c in enumerate(cols) for name in (f"__cls{i}", c)]
+    desc = [d for _c, o in sort_keys for d in (False, o == "descending")]
+    return (ds.map_batches(fill, batch_format="pyarrow", zero_copy_batch=True)
+              .sort(order, descending=desc)
+              .map_batches(restore, batch_format="pyarrow", zero_copy_batch=True,
+                           batch_size=None))
 
 
 def _batch_partial(batch: pa.Table, keys: list[str], specs: list[tuple[str, str, str]]) -> pa.Table:
-    """One batch -> per-key partial rows. specs = [(col, fn, alias)]."""
+    """One batch -> per-key partial rows. specs = [(col, fn, alias)].
+
+    Arrow's semantics: nulls are skipped and an all-null group gives null;
+    sum widens int->int64, uint->uint64, float->float64; count counts rows.
+    NaN orders above every number, as in DuckDB: a float max is NaN if the
+    group holds one, a float min only if the group holds nothing else."""
     if batch.num_rows == 0:
         def _promoted(col: str, fn: str) -> pa.DataType:
             # match Arrow group_by's aggregate output types so empty blocks
-            # don't emit a mismatched schema (sum promotes: int->int64,
-            # uint->uint64, float32->float64; min/max keep the input type)
+            # don't emit a mismatched schema (min/max keep the input type)
             t = batch.schema.field(col).type
             if fn == "count":
                 return pa.int64()
@@ -40,182 +162,172 @@ def _batch_partial(batch: pa.Table, keys: list[str], specs: list[tuple[str, str,
             (alias, _promoted(col, fn)) for col, fn, alias in specs
         ]
         return pa.table({n: pa.array([], t) for n, t in fields})
-    aggs = [(keys[0], "count") if fn == "count" else (col, fn) for col, fn, _ in specs]
-    cols = list(dict.fromkeys(keys + [c for c, _ in aggs]))
+    aggs = [([], "count_all") if fn == "count" else (col, fn) for col, fn, _ in specs]
+    names = [alias for _c, _f, alias in specs]
+    # Arrow's min/max skip NaN (and give +-inf for an all-NaN group): carry a
+    # per-group NaN flag (any for max, all for min) and patch NaN back in.
+    # int8, not bool: pyarrow 16's hash any/all misread sliced bool chunks.
+    nan_flags = []
+    for i, (col, fn, alias) in enumerate(specs):
+        if fn in ("min", "max") and pa.types.is_floating(batch.schema.field(col).type):
+            flag = f"__nan{i}"
+            batch = batch.append_column(flag, pc.cast(pc.is_nan(batch[col]), pa.int8()))
+            aggs.append((flag, fn))
+            names.append(flag)
+            nan_flags.append((alias, flag))
+    cols = list(dict.fromkeys(keys + [c for c, _ in aggs if c]))
     res = batch.select(cols).group_by(keys).aggregate(aggs)
-    # arrow names outputs "<col>_<fn>" in agg order, keys after; remap to aliases
-    out_names = []
-    spec_iter = iter(specs)
-    for n in res.schema.names:
-        out_names.append(n if n in keys else next(spec_iter)[2])
-    return res.rename_columns(out_names)
+    # arrow names outputs "<col>_<fn>" in agg order around the keys; remap
+    out = iter(names)
+    res = res.rename_columns([n if n in keys else next(out) for n in res.schema.names])
+    for alias, flag in nan_flags:
+        col = res[alias]
+        fixed = pc.if_else(pc.fill_null(pc.equal(res[flag], 1), False), pa.scalar(float("nan"), col.type), col)
+        res = res.set_column(res.schema.get_field_index(alias), alias, fixed)
+    return res.drop_columns([f for _a, f in nan_flags])
 
 
-def partial_groupby(ds, keys, specs, final: str = "shuffle"):
+_REDUCEAT = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _run_reduce(t: pa.Table, new: np.ndarray, specs) -> pa.Table:
+    """The specs' aggregates over each run of a key-sorted table (``new``
+    marks the first row of each run), in run order, with
+    ``_batch_partial``'s semantics. Integer and float columns reduce with
+    numpy ``reduceat``: nulls are filled with the reduction's identity and
+    a run with no valid value gives null; float min uses ``fmin``, which
+    gives NaN only for a run of NaN. Other columns take an Arrow group_by
+    over the run ids."""
+    starts = np.flatnonzero(new)
+    if not all(fn == "count" or pa.types.is_integer(t.schema.field(c).type)
+               or pa.types.is_floating(t.schema.field(c).type) for c, fn, _a in specs):
+        seg = pa.array(np.cumsum(new) - 1)
+        red = _batch_partial(t.append_column("__seg", seg), ["__seg"], specs)
+        return red.sort_by("__seg").drop_columns(["__seg"])
+    out = {}
+    for col, fn, alias in specs:
+        if fn == "count":
+            out[alias] = pa.array(np.diff(np.r_[starts, t.num_rows]), pa.int64())
+            continue
+        a, typ = t[col], t.schema.field(col).type
+        flt = pa.types.is_floating(typ)
+        if fn == "sum":
+            typ = (pa.float64() if flt else pa.uint64() if pa.types.is_unsigned_integer(typ)
+                   else pa.int64())
+            a = pc.cast(a, typ)
+        ufunc = np.fmin if fn == "min" and flt else _REDUCEAT[fn]
+        empty = None
+        if a.null_count:
+            fill = {"sum": 0, "min": np.nan if flt else np.iinfo(typ.to_pandas_dtype()).max,
+                    "max": -np.inf if flt else np.iinfo(typ.to_pandas_dtype()).min}[fn]
+            empty = ~np.logical_or.reduceat(a.is_valid().to_numpy(zero_copy_only=False), starts)
+            a = pc.fill_null(a, pa.scalar(fill, typ))
+        vals = ufunc.reduceat(a.to_numpy(zero_copy_only=False), starts)
+        out[alias] = pa.array(vals, typ, mask=empty)
+    return pa.table(out)
+
+
+def partial_groupby(ds, keys, specs, final=None):
     """ds.groupby(keys) with map-side combine.
 
     specs: list of (col, fn, alias) with fn in {sum,min,max,count}.
     Count partials re-aggregate as sum; min/max/sum are self-mergeable.
-    Returns a Dataset with columns keys + aliases.
+    Returns a Dataset with columns keys + aliases; with no keys, one row
+    (none for an empty input). Row order is not specified.
 
-    ``final`` picks the last merge:
-    - "shuffle": Ray's sort-based groupby over the partial rows — unbounded
-      group cardinality, but pays the all-to-all machinery (~5 s fixed floor
-      on small inputs, measured).
-    - "single": repartition(1) + one whole-block Arrow group_by — 2x+ faster
-      end-to-end when the group count is BOUNDED (measured 7.5 s -> 3.4 s on
-      the flagship). Contract: all final groups must fit one block (fine for
-      tile/cell/polygon keys; WRONG for unbounded keys like dedup pair ids).
-    - "sort": single-key UNBOUNDED-cardinality merge via sort_group_aggregate
-      (ONE range sort + vectorized segment reduce + O(#blocks) edge stitch) —
-      sidesteps the ~300x per-group overhead Ray's Aggregate pays when
-      #groups ~ #rows (r5 rehearsal finding, see sort_group_aggregate).
-      Requires len(keys)==1 and numeric agg columns; key may be any sortable
-      type including strings (segment boundaries via numpy object compare).
+    The last merge is picked by ``_grouped_final`` from the partial
+    stream's size: driver, one whole block, or above _SINGLE_FINAL_MAX_BYTES
+    sort_group_aggregate (one range sort; Ray's sort-based Aggregate pays
+    ~300x per group when #groups ~ #rows, r5 finding). No call site picks
+    the merge: ``final`` is accepted and ignored, kept only because the
+    benchmark's workloads (perfbench/workloads.py) still pass
+    ``final="single"``.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     keys = list(keys)
     specs = [tuple(s) for s in specs]
-    if not keys:
-        # global (keyless) aggregate: constant dummy key, dropped at the end
-        ds = ds.map_batches(
-            lambda b: b.append_column("__g", pa.array([0] * b.num_rows, pa.int8())),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        out = partial_groupby(ds, ["__g"], specs, final=final)
-        return out.drop_columns(["__g"])
-    partial = ds.map_batches(
-        lambda b: _batch_partial(b, keys, specs),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    # global (keyless) aggregate: constant dummy key, not in out_cols
+    gkeys = keys or ["__g"]
+
+    def combine(b: pa.Table) -> pa.Table:
+        if not keys:
+            b = b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8)))
+        return _batch_partial(b, gkeys, specs)
+
+    partial = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
     # tree combine: coalesce many small partial blocks per task before the
-    # shuffle (sort-aggregate cost scales with block count). count partials
-    # re-merge as sum; min/max/sum are self-mergeable. Ray fuses this map into
-    # a task-based upstream map, which then bundles >= 262k input rows per task.
+    # final merge. count partials re-merge as sum; min/max/sum are
+    # self-mergeable. Ray fuses this map into a task-based upstream map,
+    # which then bundles >= 262k input rows per task.
     merge_specs = [(alias, "sum" if fn in ("sum", "count") else fn, alias) for _c, fn, alias in specs]
-    partial = partial.map_batches(
-        lambda b: _batch_partial(b, keys, merge_specs),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 18,
-    )
-    if final == "sort":
-        if len(keys) != 1:
-            raise ValueError("final='sort' requires a single key column")
-        return sort_group_aggregate(partial, keys[0], merge_specs)
-    if final == "single":
-        # The bounded-cardinality contract is now ENFORCED, not just
-        # documented: count the post-combine partial rows (cheap — the stream
-        # is ~#groups x #tasks) and silently fall back to the shuffle path if
-        # they would not comfortably fit one block (VERDICT r02 #6). The
-        # materialize is fine here: partial rows are the small side by
-        # construction.
-        partial = partial.materialize()
-        n_partial = partial.count()
-        if 0 < n_partial <= _SINGLE_DRIVER_MAX_ROWS:
-            # tiny partial sets: concat on the driver and merge in-process —
-            # even repartition(1) pays the all-to-all operator (~0.25 s
-            # measured vs ~0.1 s for the driver concat)
-            import ray
-            import ray.data as rd
 
-            tab = pa.concat_tables(ray.get(partial.to_arrow_refs()))
-            return rd.from_arrow(_batch_partial(tab, keys, merge_specs))
-        if n_partial <= _SINGLE_FINAL_MAX_ROWS:
-            # batch_size=None = the whole (single) block in one batch -> exact
-            return partial.repartition(1).map_batches(
-                lambda b: _batch_partial(b, keys, merge_specs),
-                batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-            )
-    merge = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
-    finals = [merge[fn](alias, alias_name=alias) for _col, fn, alias in specs]
-    return partial.groupby(keys).aggregate(*finals)
+    def merge(b: pa.Table) -> pa.Table:
+        return _batch_partial(b, gkeys, merge_specs)
+
+    partial = partial.map_batches(merge, batch_format="pyarrow", zero_copy_batch=True,
+                                  batch_size=1 << 18)
+    out_cols = keys + [alias for _c, _f, alias in specs]
+
+    def answer(t: pa.Table) -> pa.Table:
+        return merge(t).select(out_cols)
+
+    return _grouped_final(
+        partial, answer,
+        lambda p: sort_group_aggregate(p, gkeys, merge_specs).map_batches(
+            lambda b: b.select(out_cols), batch_format="pyarrow", zero_copy_batch=True),
+        lambda: answer(combine(_empty_input(ds))), "stages.agg.partial_groupby")
 
 
-# partial rows are ~tens of bytes; 4M rows is ~a few hundred MB in one block —
-# the upper edge of comfortable. Above this the "single" merge falls back to
-# the shuffle merge automatically.
-_SINGLE_FINAL_MAX_ROWS = 4_000_000
-# below this, the final merge runs on the DRIVER (concat of the materialized
-# partial blocks) — a few MB at most, cheaper than even a repartition(1)
-_SINGLE_DRIVER_MAX_ROWS = 65_536
-
-
-def sort_group_aggregate(ds, key_col: str, specs, having_min_count: int | None = None):
+def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None):
     """Grouped aggregate at UNBOUNDED key cardinality (#groups ~ #rows) —
-    the regime where BOTH partial_groupby paths collapse: the map-side
-    combine reduces nothing (keys are near-unique) and Ray's sort-based
-    Aggregate pays a ~300x per-group overhead (measured on this host,
-    6.3M unique int64 keys: Dataset.sort 0.6 s vs groupby().aggregate()
-    189.5 s — found by the r5 text-dedup rehearsal).
+    the regime where a map-side combine reduces nothing (keys are
+    near-unique) and Ray's sort-based Aggregate pays a ~300x per-group
+    overhead (measured on this host, 6.3M unique int64 keys: Dataset.sort
+    0.6 s vs groupby().aggregate() 189.5 s — found by the r5 text-dedup
+    rehearsal). ``key_col`` is one column name or a list of them.
 
-    Shape: ONE range sort on ``key_col`` -> per-block vectorized segment
-    reduce (np.*.reduceat over run boundaries) -> the <=2 EDGE segments per
-    block (whose key may continue in a neighboring block) are merged in a
-    single tiny driver pass and unioned back. Driver traffic is O(#blocks),
-    like the window/sessionize stitches.
+    Shape: ONE range sort on the keys -> per-block reduce of the sorted
+    runs (``_run_reduce``, numpy reduceat) -> the <=2 EDGE segments per block (whose key may continue
+    in a neighboring block) are merged in a single tiny driver pass and
+    unioned back. Driver traffic is O(#blocks), like the window/sessionize
+    stitches.
 
-    specs: [(col, fn, alias)] with fn in {count,sum,min,max}; agg columns
-    must be numeric. ``having_min_count`` (requires a count spec) pushes
-    ``count >= N`` into the blocks — interior singleton groups never leave
-    the block, which is the 99% case for duplicate-gram detection."""
-    import numpy as np
+    specs: [(col, fn, alias)] with fn in {count,sum,min,max}, with
+    partial_groupby's semantics (``_batch_partial``). ``having_min_count``
+    (requires a count spec) pushes ``count >= N`` into the blocks —
+    interior singleton groups never leave the block, which is the 99% case
+    for duplicate-gram detection."""
+    import ray
+    import ray.data as rd
 
+    keys = [key_col] if isinstance(key_col, str) else list(key_col)
     specs = [tuple(s) for s in specs]
     count_aliases = [a for _c, f, a in specs if f == "count"]
     if having_min_count is not None and not count_aliases:
         raise ValueError("having_min_count requires a count spec")
-    need_cols = list(dict.fromkeys(
-        [key_col] + [c for c, f, _a in specs if f != "count"]))
+    need_cols = list(dict.fromkeys(keys + [c for c, f, _a in specs if f != "count"]))
 
     def block_fn(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        key_t = b.schema.field(key_col).type
-        out_fields = [("__edge", pa.int8()), (key_col, key_t)]
-        for c, f, a in specs:
-            out_fields.append((a, pa.int64() if f == "count" else b.schema.field(c).type))
-        if n == 0:
-            return pa.table({name: pa.array([], t) for name, t in out_fields})
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        counts = np.diff(np.r_[starts, n])
-        cols = {}
-        for c, f, a in specs:
-            if f == "count":
-                cols[a] = counts.astype(np.int64)
-                continue
-            v = b[c].to_numpy(zero_copy_only=False)
-            if f == "sum":
-                cols[a] = np.add.reduceat(v, starts)
-            elif f == "min":
-                cols[a] = np.minimum.reduceat(v, starts)
-            elif f == "max":
-                cols[a] = np.maximum.reduceat(v, starts)
-            else:
-                raise ValueError(f)
-        nseg = len(starts)
+        if b.num_rows == 0:
+            return _batch_partial(b, keys, specs).append_column("__edge", pa.array([], pa.int8()))
+        new = _group_starts(b, keys)
+        red = _run_reduce(b, new, specs)
+        nseg = red.num_rows
         edge = np.zeros(nseg, dtype=bool)
-        edge[0] = True
-        edge[-1] = True
+        edge[[0, -1]] = True
         keep = ~edge
         if having_min_count is not None:
-            ok = np.ones(nseg, dtype=bool)
             for a in count_aliases:
-                ok &= cols[a] >= having_min_count
-            keep &= ok
-        sel = np.r_[np.flatnonzero(keep), np.flatnonzero(edge)]
-        kind = np.r_[np.zeros(keep.sum(), np.int8), np.ones(int(edge.sum()), np.int8)]
-        data = {"__edge": pa.array(kind, pa.int8()),
-                key_col: pa.array(keys[starts[sel]]).cast(key_t)}
-        for _c, f, a in specs:
-            data[a] = pa.array(cols[a][sel])
-        return pa.table(data)
+                keep &= red[a].to_numpy() >= having_min_count
+        sel = pa.array(np.r_[np.flatnonzero(keep), np.flatnonzero(edge)])
+        out = b.select(keys).take(pa.array(np.flatnonzero(new))).take(sel)
+        for name in red.column_names:
+            out = out.append_column(name, red[name].take(sel))
+        kind = np.r_[np.zeros(int(keep.sum()), np.int8), np.ones(int(edge.sum()), np.int8)]
+        return out.append_column("__edge", pa.array(kind))
 
-    segs = (ds.map_batches(lambda b: b.select(need_cols), batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .sort(key_col)
+    slim = ds.map_batches(lambda b: b.select(need_cols), batch_format="pyarrow",
+                          zero_copy_batch=True)
+    segs = (_range_sort(slim, [(c, "ascending") for c in keys])
               .map_batches(block_fn, batch_format="pyarrow", zero_copy_batch=True)
               .materialize())
     if segs.count() == 0:
@@ -223,54 +335,27 @@ def sort_group_aggregate(ds, key_col: str, specs, having_min_count: int | None =
         # anything joined against that later fails with ArrowInvalid ("no
         # match for key field"). Rebuild the declared empty output schema
         # from the input instead (also covers having_min_count filtering
-        # every group). schema() on the un-sorted lineage only pulls the
-        # first block.
-        import ray.data as rd
-
-        sch = ds.schema(fetch_if_missing=True)
-        types = dict(zip(sch.names, sch.types))
-        fields = [(key_col, types[key_col])] + [
-            (a, pa.int64() if f == "count" else types[c]) for c, f, a in specs]
-        return rd.from_arrow(
-            pa.table({name: pa.array([], t) for name, t in fields}))
-    import pyarrow.compute as pc
-
+        # every group).
+        return rd.from_arrow(_batch_partial(_empty_input(ds).select(need_cols), keys, specs))
     interior = segs.map_batches(
         lambda b: b.filter(pc.equal(b["__edge"], 0)).drop_columns(["__edge"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    import ray
-
     edge_parts = ray.get(
         segs.filter(expr="__edge == 1").drop_columns(["__edge"]).to_arrow_refs())
-    edge_all = pa.concat_tables([t for t in edge_parts if t.num_rows]) if any(
-        t.num_rows for t in edge_parts) else None
-    if edge_all is None or edge_all.num_rows == 0:
+    edge_parts = [t for t in edge_parts if t.num_rows]
+    if not edge_parts:
         return interior
     # merge edge segments per key (tiny: <=2 rows per block). After the range
     # sort a key's rows are contiguous, so edge rows with equal keys are the
     # same global group split across neighboring blocks.
-    ek = edge_all[key_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(ek, kind="stable")
-    eko = ek[order]
-    starts = np.flatnonzero(np.r_[True, eko[1:] != eko[:-1]])
-    merged = {key_col: pa.array(eko[starts]).cast(edge_all.schema.field(key_col).type)}
-    for _c, f, a in specs:
-        v = edge_all[a].to_numpy(zero_copy_only=False)[order]
-        if f in ("count", "sum"):
-            merged[a] = pa.array(np.add.reduceat(v, starts))
-        elif f == "min":
-            merged[a] = pa.array(np.minimum.reduceat(v, starts))
-        else:
-            merged[a] = pa.array(np.maximum.reduceat(v, starts))
-    mt = pa.table(merged)
+    mt = _batch_partial(pa.concat_tables(edge_parts), keys, [
+        (a, "sum" if f in ("count", "sum") else f, a) for _c, f, a in specs])
     if having_min_count is not None:
         m = None
         for a in count_aliases:
             c = pc.greater_equal(mt[a], having_min_count)
             m = c if m is None else pc.and_(m, c)
         mt = mt.filter(m)
-    import ray.data as rd
-
     # edge-merged rows FIRST: Ray 2.49's hash join fails with ArrowInvalid
     # ("no match for key field on right side") when a join side's LEADING
     # block is empty (mid-stream empty blocks are fine — isolated r5), and
@@ -287,33 +372,41 @@ def sort_group_aggregate(ds, key_col: str, specs, having_min_count: int | None =
     return interior.repartition(1)
 
 
+def _batch_top_k(t: pa.Table, keys, sort_keys, k: int, rank: bool = False) -> pa.Table:
+    """The first k rows of each ``keys`` group in ``sort_keys`` order (Arrow
+    sort: stable, NaN then null last), with a 1-based int64 ``rank`` if
+    asked."""
+    t = t.sort_by([(c, "ascending") for c in keys] + sort_keys)
+    new = _group_starts(t, keys)
+    idx = np.arange(t.num_rows)
+    pos = idx - np.maximum.accumulate(np.where(new, idx, 0))
+    sel = np.flatnonzero(pos < k)
+    t = t.take(pa.array(sel, pa.int64()))
+    return t.append_column("rank", pa.array(pos[sel] + 1, pa.int64())) if rank else t
+
+
 def grouped_top_k(ds, keys, order_col: str, k: int, descending: bool = True,
                   tie_col: str | None = None):
     """Per-group top-k (the ROW_NUMBER() <= k window shape) with a PARTIAL
-    top-k combiner: each batch keeps at most k rows per key (vectorized
-    pandas sort+head), so the shuffle moves <= k x groups x blocks rows,
-    never the input; the final per-group head runs on the collapsed stream.
-    Adds a ``rank`` column (1-based). Ties break on ``tie_col`` ascending."""
-    import pandas as pd
+    top-k combiner: each batch keeps at most k rows per key, so the final
+    merge sees <= k x groups x blocks rows, never the input; the final
+    per-group head is picked by ``_grouped_final`` from their size
+    (sort_grouped_top_k above _SINGLE_FINAL_MAX_BYTES).
+    Adds a ``rank`` column (1-based). Ties break on ``tie_col`` ascending;
+    NaN and null order values rank last in either direction."""
+    keys = list(keys)
+    sort_keys = [(order_col, "descending" if descending else "ascending")] + (
+        [(tie_col, "ascending")] if tie_col else [])
 
-    sort_cols = [order_col] + ([tie_col] if tie_col else [])
-    ascending = [not descending] + ([True] if tie_col else [])
+    def head(t: pa.Table) -> pa.Table:
+        return _batch_top_k(t, keys, sort_keys, k, rank=True)
 
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        return (df.sort_values(sort_cols, ascending=ascending, kind="stable")
-                  .groupby(list(keys), sort=False).head(k))
-
-    partial = ds.map_batches(partial_topk, batch_format="pandas")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, ascending=ascending, kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = pd.RangeIndex(1, len(g) + 1)
-        return g
-
-    return partial.groupby(list(keys)).map_groups(final_topk, batch_format="pandas")
+    partial = ds.map_batches(lambda b: _batch_top_k(b, keys, sort_keys, k),
+                             batch_format="pyarrow", zero_copy_batch=True)
+    return _grouped_final(
+        partial, head,
+        lambda p: sort_grouped_top_k(p, keys, order_col, k, descending, tie_col),
+        lambda: head(_empty_input(ds)), "stages.agg.grouped_top_k")
 
 
 def global_top_k(ds, order_col: str, k: int, descending: bool = True,
@@ -526,11 +619,12 @@ def exact_quantiles(ds, col: str, quantiles: list[float]):
     return {q: val_at[want[q]] for q in quantiles}
 
 
-def sort_grouped_top_k(ds, key_col: str, order_col: str, k: int,
+def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
                        descending: bool = True, tie_col: str | None = None):
     """Grouped top-k at UNBOUNDED key cardinality (#groups ~ #rows — the
-    regime where grouped_top_k's map_groups pays Ray Aggregate's ~300x
-    per-group overhead; see sort_group_aggregate). "Top k docs per
+    regime where a groupby pays Ray Aggregate's ~300x per-group overhead;
+    see sort_group_aggregate). grouped_top_k's fallback above
+    _SINGLE_FINAL_MAX_BYTES of partial rows. "Top k docs per
     canonical URL / content cluster" over a web corpus lives here.
 
     Shape: ONE range sort on (key, order[, tie]) — after it a group's
@@ -544,27 +638,24 @@ def sort_grouped_top_k(ds, key_col: str, order_col: str, k: int,
 
     Ties: ``tie_col`` (ascending, must make rows unique) pins the SQL
     ROW_NUMBER order; without it, ranks among equal order values are
-    nondeterministic across block splits. Adds ``rank`` (1-based)."""
-    import pandas as pd
+    nondeterministic across block splits. Adds ``rank`` (1-based).
+    ``key_col`` is one column name or a list of them; order as in
+    grouped_top_k (NaN, then null, last)."""
     import ray
     import ray.data as rd
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    sort_cols = [key_col, order_col] + ([tie_col] if tie_col else [])
-    sort_desc = [False, descending] + ([False] if tie_col else [])
+    keys = [key_col] if isinstance(key_col, str) else list(key_col)
+    sort_keys = [(order_col, "descending" if descending else "ascending")] + (
+        [(tie_col, "ascending")] if tie_col else [])
 
     def block_fn(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             t = b.append_column("rank", pa.array([], pa.int64()))
             return t.append_column("__edge", pa.array([], pa.int8()))
-        import numpy as np
-
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        idx = np.arange(n, dtype=np.int64)
-        seg_first = np.ones(n, dtype=bool)
-        seg_first[1:] = keys[1:] != keys[:-1]
+        seg_first = _group_starts(b, keys)
+        idx = np.arange(b.num_rows, dtype=np.int64)
         seg_start = np.maximum.accumulate(np.where(seg_first, idx, 0))
         pos = idx - seg_start
         seg_id = np.cumsum(seg_first) - 1
@@ -578,7 +669,7 @@ def sort_grouped_top_k(ds, key_col: str, order_col: str, k: int,
     # batch_size=None: one batch per sorted BLOCK. A segment split across
     # batches is always marked edge (it is first/last in both), so smaller
     # batches stay correct — but they multiply the driver edge traffic.
-    segs = (ds.sort(sort_cols, descending=sort_desc)
+    segs = (_range_sort(ds, [(c, "ascending") for c in keys] + sort_keys)
               .map_batches(block_fn, batch_format="pyarrow", zero_copy_batch=True,
                            batch_size=None)
               .materialize())
@@ -591,15 +682,8 @@ def sort_grouped_top_k(ds, key_col: str, order_col: str, k: int,
         # block's first segment is an edge and keeps >= 1 row). An empty
         # sort emits a schema-less block (same Ray 2.49 behavior
         # sort_group_aggregate works around) — rebuild the typed schema.
-        sch = ds.schema(fetch_if_missing=True)
-        cols = {name: pa.array([], t) for name, t in zip(sch.names, sch.types)}
-        cols["rank"] = pa.array([], pa.int64())
-        return rd.from_arrow(pa.table(cols))
-    df = pa.concat_tables(edge_all).to_pandas()
-    df = df.sort_values(sort_cols, ascending=[not d for d in sort_desc],
-                        kind="mergesort").reset_index(drop=True)
-    df["rank"] = df.groupby(key_col, sort=False).cumcount() + 1
-    winners = pa.Table.from_pandas(df[df["rank"] <= k], preserve_index=False)
+        return rd.from_arrow(_batch_top_k(_empty_input(ds), keys, sort_keys, k, rank=True))
+    winners = _batch_top_k(pa.concat_tables(edge_all), keys, sort_keys, k, rank=True)
 
     def rerank(t: pa.Table) -> pa.Table:
         # interior segments are complete groups: their in-block position IS

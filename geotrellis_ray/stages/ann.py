@@ -109,18 +109,11 @@ def ann_brute_force(ds, queries: np.ndarray, k: int = 5, id_col: str = "vec_id",
             }
         )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([score_col, id_col],
-                          ascending=[metric == "sqeuclid", True], kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    from .agg import grouped_top_k
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_top_k(part, ["query_id"], score_col, k,
+                         descending=metric != "sqeuclid", tie_col=id_col)
 
 
 def add_lsh_bucket_batch(batch: pa.Table, planes: np.ndarray, emb_col: str = "embedding") -> pa.Table:
@@ -526,17 +519,10 @@ def pq_search(codes_ds, queries: np.ndarray, books: np.ndarray, k: int = 5,
             "adc_dist": pa.array(out_d, pa.float64()),
         })
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["adc_dist", id_col], ascending=[True, True], kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    from .agg import grouped_top_k
 
-    return (
-        codes_ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    part = codes_ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_top_k(part, ["query_id"], "adc_dist", k, descending=False, tie_col=id_col)
 
 
 def pq_search_rerank(ds, queries: np.ndarray, books: np.ndarray, k: int = 5,
@@ -722,8 +708,6 @@ def ann_hnsw(ds, queries: np.ndarray, k: int = 5, M: int = 8,
     candidates merged by the same grouped top-k as the other ANN variants.
     Approximate: recall depends on M/ef (pytest pins >= 0.9 on planted
     clusters); deterministic for a fixed partitioning."""
-    import pandas as pd
-
     q = np.asarray(queries, dtype=np.float32)
 
     def per_block(batch: pa.Table) -> pa.Table:
@@ -746,14 +730,8 @@ def ann_hnsw(ds, queries: np.ndarray, k: int = 5, M: int = 8,
             "cosine": pa.array(np.concatenate(out_s) if out_s else [], pa.float64()),
         })
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True],
-                          kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    from .agg import grouped_top_k
 
-    return (ds.map_batches(per_block, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None)
-            .groupby("query_id")
-            .map_groups(final_topk, batch_format="pandas"))
+    part = ds.map_batches(per_block, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None)
+    return grouped_top_k(part, ["query_id"], "cosine", k, descending=True, tie_col=id_col)

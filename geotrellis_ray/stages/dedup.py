@@ -420,7 +420,6 @@ def minhash_dedup(ds, threshold: float = 0.7, rounds: int = 4,
     10^12-doc scale) we fall back to distributed min-label propagation."""
     import ray
     import ray.data
-    from ray.data.aggregate import Min
 
     id_col = kw.get("id_col", "doc_id")
     pairs = minhash_candidate_pairs(ds, **kw)
@@ -444,8 +443,8 @@ def labels_from_edges(ids_ds, edges, id_col: str = "doc_id", rounds: int = 4,
     never collect to the driver)."""
     import ray
     import ray.data
-    from ray.data.aggregate import Min
 
+    from .agg import partial_groupby
     from .join import spatial_join
 
     if edges.count() <= driver_edge_threshold:
@@ -509,11 +508,7 @@ def labels_from_edges(ids_ds, edges, id_col: str = "doc_id", rounds: int = 4,
             .map_batches(lambda b: b.rename_columns([id_col, "label"]),
                          batch_format="pyarrow", zero_copy_batch=True)
         )
-        labels = (
-            labels.union(msgs)
-            .groupby(id_col)
-            .aggregate(Min("label", alias_name="label"))
-        )
+        labels = partial_groupby(labels.union(msgs), [id_col], [("label", "min", "label")])
     return labels.map_batches(
         lambda b: b.rename_columns([id_col, "cluster_id"]), batch_format="pyarrow", zero_copy_batch=True
     )
@@ -893,10 +888,10 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
             exploded0, gcol, [(gcol, "count", "n")],
             having_min_count=min_count).drop_columns(["n"])
     else:
-        # key="text" (the SQL-oracle variant): string keys — same sort-based
-        # final (sort_group_aggregate handles sortable string keys)
+        # key="text" (the SQL-oracle variant): string keys; partial_groupby
+        # takes sort_group_aggregate's merge at corpus-sized key counts
         counts = partial_groupby(
-            exploded0, [gcol], [(gcol, "count", "n")], final="sort",
+            exploded0, [gcol], [(gcol, "count", "n")],
         ).filter(expr=f"n >= {min_count}").drop_columns(["n"])
 
     grams = ds.map_batches(lambda b: explode(b, True), batch_format="pyarrow",
@@ -1129,7 +1124,7 @@ def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
        groupby/join carry 16 B/row at 100 TB (2^-64 collision risk);
        ``key="text"`` keeps exact semantics (SQL-checkable).
     2. winner per paragraph = min(packed) via partial_groupby (map-side
-       combine; shuffle final — paragraph cardinality is unbounded).
+       combine; its merge is picked by size — cardinality is unbounded).
     3. join winners back to the slim row stream; kept = packed == win.
     4. ONE range sort of the kept (packed)-only rows, per-block per-doc
        kept-index assembly (idx list as a csv string — primitive columns
@@ -1184,8 +1179,7 @@ def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
 
         winners = sort_group_aggregate(chunks, pcol, [("packed", "min", "win")])
     else:
-        winners = partial_groupby(chunks, [pcol], [("packed", "min", "win")],
-                                  final="sort")
+        winners = partial_groupby(chunks, [pcol], [("packed", "min", "win")])
     kept = spatial_join(chunks, winners, on=(pcol,))
     kept = kept.filter(expr="packed == win").select_columns(["packed"])
     inner = _packed_to_kept_csv(kept, id_col)
@@ -1227,7 +1221,7 @@ def line_frequency_filter(ds, min_count: int = 2, delim: str = "\n",
        wide groupby/join carry 16 B/row at 100 TB; ``key="text"`` keeps
        exact semantics (SQL-checkable).
     2. corpus count per line via partial_groupby (map-side combine;
-       shuffle final — line cardinality is unbounded).
+       merge picked by size — line cardinality is unbounded).
     3. join counts back to the slim rows; kept = count < min_count.
     4. kept (packed) rows -> (doc, kept csv) via _packed_to_kept_csv
        (ONE range sort + O(#blocks) driver stitch).
@@ -1270,8 +1264,7 @@ def line_frequency_filter(ds, min_count: int = 2, delim: str = "\n",
 
         counts = sort_group_aggregate(rows, kcol, [("packed", "count", "c")])
     else:
-        counts = partial_groupby(rows, [kcol], [("packed", "count", "c")],
-                                 final="sort")
+        counts = partial_groupby(rows, [kcol], [("packed", "count", "c")])
     kept = spatial_join(rows, counts, on=(kcol,))
     kept = kept.filter(expr=f"c < {int(min_count)}").select_columns(["packed"])
     inner = _packed_to_kept_csv(kept, id_col)
@@ -1366,7 +1359,6 @@ def bloom_dedup(new_ds, ref_ds, id_col: str = "doc_id", text_col: str = "text",
                            zero_copy_batch=True)
         .select_columns(["content_hash_i64"]),
         ["content_hash_i64"], [("content_hash_i64", "count", "n")],
-        final="shuffle",
     ).select_columns(["content_hash_i64"])
     ref_hashes = ref_hashes.materialize()
     bloom = build_bloom(ref_hashes, n_hint=ref_hashes.count(),

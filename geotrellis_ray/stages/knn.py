@@ -8,7 +8,7 @@ at survey time; SURVEY.md §2.4) in three Ray-native shapes:
    -> tiny sort+limit. Only k rows per block ever shuffle.
 2. ``knn_multi``: many queries at once — broadcast the query matrix, compute
    the per-batch distance matrix vectorized (numpy), keep per-batch top-k per
-   query, then ``groupby(query_id).map_groups(top_k)`` over k x blocks rows.
+   query, then ``grouped_top_k`` per query over the k x blocks rows.
 3. Cell-pruned variant for huge inputs: pre-filter candidate hex cells by
    ring expansion (``hex_disk``) before the exact pass; partitioning
    assumption: points carry ``cell_hexlike`` at a resolution where a k-disk
@@ -78,27 +78,10 @@ def knn_multi(ds, queries: pd.DataFrame, k: int, id_col: str = "url", metric: st
         )
         return t
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["dist", id_col], kind="stable").head(k).reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    from .agg import grouped_top_k
 
-    part = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    # the partial stream is <= nq x k rows per block; under 64k total rows
-    # the final per-query head runs on the driver — Ray's sort-based
-    # groupby/map_groups pays a ~2 s machinery floor for what is a
-    # millisecond pandas pass (same bounded-driver-final pattern as
-    # partial_groupby). Large query fleets keep the distributed final.
-    if part.count() <= 65_536:
-        import ray.data as rd
-
-        df = part.to_pandas()
-        df = df.sort_values(["query_id", "dist", id_col], kind="stable")
-        df = df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
-        df["rank"] = (df.groupby("query_id", sort=False).cumcount() + 1).astype(np.int64)
-        return rd.from_pandas(df)
-    return part.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_top_k(part, ["query_id"], "dist", k, descending=False, tie_col=id_col)
 
 
 def knn_cell_pruned(ds, queries: pd.DataFrame, k: int, hex_res: int, rings: int = 2,

@@ -56,16 +56,16 @@ def pyramid_up(tiles_ds):
     )
 
 
-def pyramid_up_counts(tiles_ds, count_cols=("n_docs",), final: str = "single"):
+def pyramid_up_counts(tiles_ds, count_cols=("n_docs",)):
     """Pyramid for AGGREGATE layers (no cells — per-tile counts): parent key
-    + sum. The cheap partial+final path used by the tile-assignment pyramid;
-    parent-key cardinality is 1/4 of the child layer's, so the single-block
-    final merge (stages/agg.py) is the default."""
+    + sum via partial_groupby. Parent-key cardinality is 1/4 of the child
+    layer's, so its final merge is a driver or whole-block one
+    (stages/agg.py picks it from the partial stream's size)."""
     from .agg import partial_groupby
 
     withp = tiles_ds.map_batches(parent_keys_batch, batch_format="pyarrow", zero_copy_batch=True)
     out = partial_groupby(withp, ["parent_col", "parent_row"],
-                          [(c, "sum", c) for c in count_cols], final=final)
+                          [(c, "sum", c) for c in count_cols])
     return out.map_batches(
         lambda b: b.rename_columns(
             ["key_col" if n == "parent_col" else "key_row" if n == "parent_row" else n for n in b.column_names]

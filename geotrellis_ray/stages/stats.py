@@ -113,9 +113,9 @@ def polygonal_summary(joined_ds, group_col: str = "polygon_id", value_col: str =
     """Zonal stats over PIP-joined rows: groupby polygon, Sum/Min/Max/Mean/
     Count via partial_groupby's map-side combine (polygon cardinality is
     bounded — the polygon side is the broadcast small side by design — so
-    the final merge takes the single/driver path instead of Ray's
-    sort-based Aggregate and its fixed floor; above 4M distinct keys it
-    auto-falls back to the shuffle merge). Mean is derived as sum/n, the
+    the final merge takes the driver/one-block path instead of Ray's
+    sort-based Aggregate and its fixed floor; above 128 MiB of partial rows it
+    takes the sort merge). Mean is derived as sum/n, the
     same double division Ray's Mean and DuckDB's avg perform.
     ``drop_unmatched`` removes polygon_id == -1 (no-hit rows)."""
     import pyarrow as pa
@@ -134,7 +134,7 @@ def polygonal_summary(joined_ds, group_col: str = "polygon_id", value_col: str =
         (value_col, "sum", f"sum_{value_col}"),
         (value_col, "min", f"min_{value_col}"),
         (value_col, "max", f"max_{value_col}"),
-    ], final="single")
+    ])
 
     def add_mean(b: "pa.Table") -> "pa.Table":
         mean = pc.divide(pc.cast(b[f"sum_{value_col}"], pa.float64()),
@@ -271,7 +271,7 @@ def polygonal_summary_fractional(tiles_ds, polygons_ref, layout, concurrency: in
         ("wsum", "sum", "wsum"),
         ("min_v", "min", "min_v"),
         ("max_v", "max", "max_v"),
-    ], final="single")
+    ])
 
     def add_mean(b: pa.Table) -> pa.Table:
         return b.append_column("wmean", pc.divide(b["wsum"], b["area"]))
@@ -280,8 +280,7 @@ def polygonal_summary_fractional(tiles_ds, polygons_ref, layout, concurrency: in
 
 
 def zonal_stats_fractional_grid(tiles_ds, scale_num: int, scale_den: int,
-                                off_x_num: int, off_y_num: int,
-                                final: str = "single"):
+                                off_x_num: int, off_y_num: int):
     """Fractional zonal statistics against a NON-ALIGNED zone GRID — the
     raster-zone extension of ``polygonal_summary_fractional`` (VERDICT r04
     optional #9b; GeoTrellis pairs ref:raster/.../mapalgebra/zonal/ with
@@ -386,7 +385,7 @@ def zonal_stats_fractional_grid(tiles_ds, scale_num: int, scale_den: int,
         ("sum_w", "sum", "sum_w"),
         ("sum_wv", "sum", "sum_wv"),
         ("n_cells", "sum", "n_cells"),
-    ], final=final)
+    ])
 
     def add_mean(b: pa.Table) -> pa.Table:
         return b.append_column("wmean", pc.divide(

@@ -5,10 +5,11 @@ The scale story (SURVEY.md §4): a bare ``groupby(sfc)`` ships every row
 through an all-to-all shuffle; with the skewed corpus (80% of pages in ~5% of
 cells) hot cells overload single reducers. So:
 
-1. **Partial aggregation** inside ``map_batches`` — each Arrow batch is
-   collapsed to one row per distinct key via ``pyarrow.Table.group_by``
-   (C++-vectorized) BEFORE the shuffle. The global ``groupby`` then moves
-   only per-batch partials (≤ distinct-keys × blocks rows, not N rows).
+1. **Partial aggregation** — ``tile_assignments`` is ``partial_groupby``
+   over the tile keys: each Arrow batch is collapsed to one row per distinct
+   key via ``pyarrow.Table.group_by`` (C++-vectorized) BEFORE the final
+   merge, which sees only per-batch partials (≤ distinct-keys × blocks rows,
+   not N rows) and is picked from their size (stages/agg.py).
 2. **Salt-and-split** for non-mergeable per-group work (map_groups): a
    ``salt = h % k`` column is appended FOR HOT KEYS ONLY (hot set measured by
    a cheap partial-count sample), the grouped op runs per (key, salt), and an
@@ -30,73 +31,31 @@ import pyarrow as pa
 if TYPE_CHECKING:
     import ray.data
 
+TILE_KEYS = ["key_col", "key_row", "sfc"]
+
+
+def _tile_specs(sum_cols) -> list[tuple[str, str, str]]:
+    return [("sfc", "count", "n_docs")] + [(c, "sum", c) for c in sum_cols]
+
 
 def partial_tile_counts(batch: pa.Table, sum_cols: tuple[str, ...] = ("n_hits",)) -> pa.Table:
     """Per-batch combiner: collapse to one row per (key_col, key_row, sfc)
     with n_docs = count and sum_{c} for each sum col present."""
-    keys = ["key_col", "key_row", "sfc"]
-    aggs = [("sfc", "count")] + [(c, "sum") for c in sum_cols if c in batch.column_names]
-    g = batch.select(keys + [c for c in sum_cols if c in batch.column_names]).group_by(keys).aggregate(aggs)
-    names = {f"sfc_count": "n_docs"}
-    names.update({f"{c}_sum": c for c in sum_cols})
-    return g.rename_columns([names.get(n, n) for n in g.column_names])
+    from .agg import _batch_partial
+
+    return _batch_partial(batch, TILE_KEYS, _tile_specs([c for c in sum_cols if c in batch.column_names]))
 
 
-def tile_assignments(ds: "ray.data.Dataset", sum_cols: tuple[str, ...] = ("n_hits",),
-                     final: str = "single") -> "ray.data.Dataset":
+def tile_assignments(ds: "ray.data.Dataset", sum_cols: tuple[str, ...] = ("n_hits",)) -> "ray.data.Dataset":
     """Dataset of per-tile aggregates: (key_col, key_row, sfc, n_docs,
-    sum cols). Partial-aggregate per block, then the final merge.
+    sum cols) — partial_groupby over the tile keys. Tile-count cardinality
+    is bounded by the touched-tile set (zoom 8 world = 65k keys), so the
+    final merge is a driver or whole-block Arrow group_by; skipping Ray's
+    sort-based Aggregate halved the flagship wall (measured 7.5 s -> 3.4 s
+    at sf0.1/32 cpus). Deep-zoom key sets take the sort merge by size."""
+    from .agg import partial_groupby
 
-    ``final="single"`` (default): repartition(1) + one whole-block Arrow
-    group_by. Tile-count cardinality is bounded by the touched-tile set
-    (zoom 8 world = 65k keys; a few ints per row), and skipping Ray's
-    sort-based Aggregate halves the flagship wall time (measured 7.5 s ->
-    3.4 s at sf0.1/32 cpus). Pass ``final="shuffle"`` for deep-zoom layers
-    whose key sets exceed one block."""
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(
-        lambda b: partial_tile_counts(b, sum_cols), batch_format="pyarrow", zero_copy_batch=True
-    )
-    # tree combine: a large batch_size coalesces many small partial blocks
-    # into one task, re-collapsing them before the final merge — the
-    # all-to-all's cost scales with input block count, not row count
-    keys = ["key_col", "key_row", "sfc"]
-    present = [c for c in sum_cols]
-
-    def recombine(b: pa.Table) -> pa.Table:
-        aggs = [("n_docs", "sum")] + [(c, "sum") for c in present]
-        g = b.group_by(keys).aggregate(aggs)
-        ren = {"n_docs_sum": "n_docs"}
-        ren.update({f"{c}_sum": c for c in present})
-        return g.rename_columns([ren.get(n, n) for n in g.column_names])
-
-    partials = partials.map_batches(
-        recombine, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 18
-    )
-    if final == "single":
-        # bounded-key contract ENFORCED (VERDICT r02 #6): the tree-combined
-        # partial stream is counted (cheap — already collapsed to ~groups x
-        # tasks rows) and the whole-block merge only runs when it fits one
-        # block; otherwise fall through to the shuffle merge.
-        from .agg import _SINGLE_DRIVER_MAX_ROWS, _SINGLE_FINAL_MAX_ROWS
-
-        partials = partials.materialize()
-        n_partial = partials.count()
-        if 0 < n_partial <= _SINGLE_DRIVER_MAX_ROWS:
-            # tiny tile sets: driver concat + in-process merge beats even
-            # repartition(1) (all-to-all operator, ~0.25 s floor measured)
-            import ray
-            import ray.data as rd
-
-            tab = pa.concat_tables(ray.get(partials.to_arrow_refs()))
-            return rd.from_arrow(recombine(tab))
-        if n_partial <= _SINGLE_FINAL_MAX_ROWS:
-            return partials.repartition(1).map_batches(
-                recombine, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-            )
-    aggs = [Sum("n_docs", alias_name="n_docs")] + [Sum(c, alias_name=c) for c in present]
-    return partials.groupby(keys).aggregate(*aggs)
+    return partial_groupby(ds, TILE_KEYS, _tile_specs(sum_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +69,9 @@ def measure_hot_keys(
     exceeds ``threshold_factor`` x mean. At 100 TB this runs on a
     sampled fraction of blocks — never the full input."""
     sampled = ds.random_sample(sample, seed=42) if 0 < sample < 1 else ds
-    partial = sampled.map_batches(
-        lambda b: b.select([key_col]).group_by([key_col]).aggregate([(key_col, "count")]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
     from ray.data.aggregate import Count, Sum
+
+    from .agg import partial_groupby
 
     # Driver traffic is O(hot keys), not O(distinct keys): the per-key counts
     # stay distributed — one scalar (sum, count) pass computes the mean, a
@@ -123,7 +79,7 @@ def measure_hot_keys(
     # that (tiny) hot set is collected. At deep zoom (z14+ ~ 2.7e8 distinct
     # keys) the old .to_pandas() of ALL key counts was itself a driver-side
     # materialization (VERDICT r04 "What's wrong" #1).
-    counts = partial.groupby(key_col).aggregate(Sum(f"{key_col}_count", alias_name="n")).materialize()
+    counts = partial_groupby(sampled, [key_col], [(key_col, "count", "n")]).materialize()
     stats = counts.aggregate(Sum("n", alias_name="tot"), Count(alias_name="k"))
     if not stats or not stats.get("k"):
         return set()

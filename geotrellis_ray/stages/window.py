@@ -41,23 +41,20 @@ def explode_windows_batch(batch: pa.Table, ts_col: str, span_us: int, slide_us: 
 
 
 def sliding_window_agg(ds, keys, specs, ts_col: str = "ts",
-                       span_us: int = 7_200_000_000, slide_us: int = 3_600_000_000,
-                       final: str = "single"):
+                       span_us: int = 7_200_000_000, slide_us: int = 3_600_000_000):
     """Overlapping-window aggregate: groups = (keys..., window_start).
     specs as in partial_groupby: [(col, fn, alias)].
 
-    window_start cardinality grows with the time span, so final='single'
-    is safe only because partial_groupby now ENFORCES its bounded-groups
-    contract (counts partial rows, auto-falls back to the shuffle merge
-    above the threshold — agg.py:_SINGLE_FINAL_MAX_ROWS). Long streams take
-    the shuffle path automatically."""
+    window_start cardinality grows with the time span; partial_groupby
+    measures the partial rows and takes its sort merge above
+    agg._SINGLE_FINAL_MAX_BYTES, so long streams need no option here."""
     from .agg import partial_groupby
 
     exploded = ds.map_batches(
         lambda b: explode_windows_batch(b, ts_col, span_us, slide_us),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    return partial_groupby(exploded, list(keys) + ["window_start"], specs, final=final)
+    return partial_groupby(exploded, list(keys) + ["window_start"], specs)
 
 
 def _block_lag(batch: pa.Table, part_col: str, ts_col: str, id_col: str,
@@ -488,7 +485,7 @@ def window_rank_stats(ds, part_col: str, ord_col: str, id_col: str,
 
     Scale contract: partition CARDINALITY must be bounded (counts are
     tree-aggregated, collected once on the driver, and ray.put-broadcast —
-    the same bounded-keys contract as partial_groupby(final='single')); row
+    a bounded-keys contract); row
     count per partition is unbounded. For unbounded partition keys use
     window_rank + an explicit join against the counts instead."""
     import ray

@@ -1,0 +1,143 @@
+"""partial_groupby and grouped_top_k pick their last merge from the size of
+their partial rows: on the driver, in one block, or (above 128 MiB) a range
+sort.
+Each branch is forced here by
+patching the two thresholds, and each must match DuckDB on nulls (in keys
+and values), int32, uint64 >= 2^63, float32, NaN, one-row and empty blocks,
+and on an empty dataset, which gives a typed empty table. The branch taken
+is read from the engine's decision log."""
+
+from __future__ import annotations
+
+import logging
+import math
+
+import duckdb
+import numpy as np
+import pyarrow as pa
+import pytest
+
+ray = pytest.importorskip("ray")
+import ray.data  # noqa: E402
+
+from geotrellis_ray.stages import agg as agg_mod  # noqa: E402
+
+HIGH = np.uint64(1) << np.uint64(63)
+
+
+def _rows(n: int, seed: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+
+    def mask(p):
+        return rng.random(n) < p
+
+    f = (rng.integers(-8, 8, n) / 2).astype(np.float32)
+    f[rng.random(n) < 0.08] = np.nan
+    return pa.table({
+        "k1": pa.array(rng.integers(0, 6, n).astype(np.int32), pa.int32(), mask=mask(0.1)),
+        "k2": pa.array(rng.choice(["a", "b", "c"], n), pa.string(), mask=mask(0.1)),
+        "i": pa.array(rng.integers(-1000, 1000, n), pa.int64(), mask=mask(0.2)),
+        "u": pa.array(HIGH + rng.integers(0, 50, n).astype(np.uint64), pa.uint64(), mask=mask(0.1)),
+        "f": pa.array(f, pa.float32(), mask=mask(0.05)),
+        "t": pa.array(np.arange(n), pa.int64()),
+    })
+
+
+# k1 = 6 holds only null and NaN floats and null ints: the all-null and
+# all-NaN groups
+T = pa.concat_tables([_rows(297, 8), pa.table({
+    "k1": pa.array([6, 6, 6], pa.int32()), "k2": pa.array(["a", "a", "a"]),
+    "i": pa.array([None, None, None], pa.int64()),
+    "u": pa.array([None, None, None], pa.uint64()),
+    "f": pa.array([np.nan, None, np.nan], pa.float32()),
+    "t": pa.array([297, 298, 299], pa.int64())})])
+
+SPECS = [("i", "sum", "si"), ("i", "count", "n"), ("i", "min", "mni"),
+         ("u", "min", "mnu"), ("u", "max", "mxu"),
+         ("f", "sum", "sf"), ("f", "min", "mnf"), ("f", "max", "mxf")]
+SQL_AGGS = ("sum(i) AS si, count(*) AS n, min(i) AS mni, min(u) AS mnu, max(u) AS mxu, "
+            "sum(f) AS sf, min(f) AS mnf, max(f) AS mxf")
+AGG_TYPES = {"si": pa.int64(), "n": pa.int64(), "mni": pa.int64(), "mnu": pa.uint64(),
+             "mxu": pa.uint64(), "sf": pa.float64(), "mnf": pa.float32(), "mxf": pa.float32()}
+
+# (driver max bytes, one-block max bytes) that force each merge
+BRANCHES = {"driver": (1 << 30, 1 << 30), "one_block": (0, 1 << 30), "fallback": (0, 0)}
+
+
+def _ds(empty: bool):
+    if empty:
+        return ray.data.from_arrow(T.slice(0, 0))
+    # a one-row block, an empty block (with its schema) and two large ones
+    return ray.data.from_arrow([T.slice(0, 1), T.slice(1, 0), T.slice(1, 150), T.slice(151)])
+
+
+def _norm(v):
+    if isinstance(v, float) and math.isnan(v):
+        return "NaN"
+    return None if v is None else int(v) if not isinstance(v, (str, float)) else v
+
+
+def _rowset(t: pa.Table, cols) -> list[tuple]:
+    rows = [tuple(_norm(r[c]) for c in cols) for r in t.to_pylist()]
+    return sorted(rows, key=lambda r: tuple((x is None, str(x)) for x in r))
+
+
+def _run(fn, branch, monkeypatch, caplog):
+    driver_max, block_max = BRANCHES[branch]
+    monkeypatch.setattr(agg_mod, "_SINGLE_DRIVER_MAX_BYTES", driver_max)
+    monkeypatch.setattr(agg_mod, "_SINGLE_FINAL_MAX_BYTES", block_max)
+    with caplog.at_level(logging.DEBUG, logger=agg_mod.__name__):
+        ds = fn().materialize()
+    log = [r for r in caplog.records if r.name == agg_mod.__name__][-1].args
+    monkeypatch.undo()
+    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    return (pa.concat_tables(parts) if parts else None), log
+
+
+def _choice(branch: str, empty: bool) -> str:
+    if empty:
+        return "driver"
+    return "sort" if branch == "fallback" else branch
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
+@pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"], ["u"], []], ids=["one", "two", "u64", "keyless"])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_partial_groupby_matches_duckdb(ray_session, monkeypatch, caplog, branch, keys, empty):
+    got, log = _run(lambda: agg_mod.partial_groupby(_ds(empty), keys, SPECS), branch,
+                    monkeypatch, caplog)
+    assert log["site"] == "stages.agg.partial_groupby"
+    assert log["choice"] == _choice(branch, empty)
+    src = T.slice(0, 0) if empty else T
+    types = {c: src.schema.field(c).type for c in keys} | AGG_TYPES
+    assert {f.name: f.type for f in got.schema} == types
+    con = duckdb.connect()
+    con.register("t", src)
+    group = ", ".join(keys or ["g"])
+    exp = con.execute(f"SELECT {', '.join(keys + [SQL_AGGS])} "
+                      f"FROM (SELECT 0 AS g, * FROM t) GROUP BY {group}").arrow()
+    cols = keys + list(AGG_TYPES)
+    assert _rowset(got, cols) == _rowset(exp, cols)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
+@pytest.mark.parametrize("descending", [True, False], ids=["desc", "asc"])
+@pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"]], ids=["one", "two"])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_grouped_top_k_matches_duckdb(ray_session, monkeypatch, caplog, branch, keys,
+                                      descending, empty):
+    got, log = _run(lambda: agg_mod.grouped_top_k(_ds(empty), keys, "f", 3,
+                                                  descending=descending, tie_col="t"),
+                    branch, monkeypatch, caplog)
+    assert log["site"] == "stages.agg.grouped_top_k"
+    assert log["choice"] == _choice(branch, empty)
+    src = T.slice(0, 0) if empty else T
+    assert got.schema == src.schema.append(pa.field("rank", pa.int64()))
+    con = duckdb.connect()
+    con.register("t", src)
+    # the engine's order: numbers first, then NaN, then null, in either direction
+    order = f"(f IS NULL OR isnan(f)), f IS NULL, f {'DESC' if descending else 'ASC'}, t"
+    exp = con.execute(f"SELECT *, row_number() OVER (PARTITION BY {', '.join(keys)} "
+                      f"ORDER BY {order}) AS rank FROM t QUALIFY rank <= 3").arrow()
+    cols = src.column_names + ["rank"]
+    assert _rowset(got, cols) == _rowset(exp, cols)

@@ -425,9 +425,9 @@ def test_hilbert_layer_roundtrip_bbox_query(ray_session, tmp_path):
 
 
 def test_partial_groupby_single_falls_back_on_large_key_set(ray_session, monkeypatch):
-    """final='single' must not trust its bounded-cardinality contract: with
-    an adversarially large key set (threshold patched down) it takes the
-    shuffle path and still matches the oracle."""
+    """partial_groupby must not trust a bounded key set: with an
+    adversarially large one (threshold patched down) it takes the sort
+    merge and still matches the oracle."""
     import ray.data
 
     import geotrellis_ray.stages.agg as agg_mod
@@ -439,17 +439,16 @@ def test_partial_groupby_single_falls_back_on_large_key_set(ray_session, monkeyp
         "v": pa.array(np.arange(n, dtype=np.int64) * 3),
     })
     ds = ray.data.from_arrow(t).repartition(8)
-    monkeypatch.setattr(agg_mod, "_SINGLE_FINAL_MAX_ROWS", 10)
-    got = (partial_groupby(ds, ["k"], [("v", "sum", "s"), ("v", "count", "n")],
-                           final="single")
+    monkeypatch.setattr(agg_mod, "_SINGLE_DRIVER_MAX_BYTES", 0)
+    monkeypatch.setattr(agg_mod, "_SINGLE_FINAL_MAX_BYTES", 10)
+    got = (partial_groupby(ds, ["k"], [("v", "sum", "s"), ("v", "count", "n")])
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert len(got) == n
     np.testing.assert_array_equal(got["s"].to_numpy(), np.arange(n) * 3)
     np.testing.assert_array_equal(got["n"].to_numpy(), np.ones(n, dtype=np.int64))
-    # and the small-key path still uses the single merge (sanity: same answer)
-    monkeypatch.setattr(agg_mod, "_SINGLE_FINAL_MAX_ROWS", 4_000_000)
-    got2 = (partial_groupby(ds, ["k"], [("v", "sum", "s"), ("v", "count", "n")],
-                            final="single")
+    # and the small-key path still uses the driver merge (same answer)
+    monkeypatch.undo()
+    got2 = (partial_groupby(ds, ["k"], [("v", "sum", "s"), ("v", "count", "n")])
             .to_pandas().sort_values("k").reset_index(drop=True))
     np.testing.assert_array_equal(got2["s"].to_numpy(), got["s"].to_numpy())
 

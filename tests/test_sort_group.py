@@ -74,6 +74,53 @@ def test_sort_group_aggregate_single_key(ray_session):
     assert sort_group_aggregate(empty, "k", [("k", "count", "n")]).count() == 0
 
 
+def test_sort_group_aggregate_null_sum(ray_session):
+    """Arrow's semantics, as partial_groupby: a sum skips nulls and keeps
+    int64 (key 1: [5, None] -> 5), and an all-null group sums to null
+    (key 2), also when the group spans blocks."""
+    import ray.data
+
+    t = pa.table({"k": pa.array([1, 1, 2, 2, 3], pa.int64()),
+                  "v": pa.array([5, None, None, None, 7], pa.int64())})
+    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2, 1), t.slice(3)])
+    out = sort_group_aggregate(ds, "k", [("v", "sum", "s"), ("v", "min", "mn")]).materialize()
+    assert out.schema().types == [pa.int64(), pa.int64(), pa.int64()]
+    got = {r["k"]: (r["s"], r["mn"]) for r in out.take_all()}
+    assert got == {1: (5, 5), 2: (None, None), 3: (7, 7)}
+
+
+def test_sort_group_aggregate_float_and_string_values(ray_session):
+    """Float runs reduce with numpy (NaN: max is NaN if the group holds one,
+    min only if it holds nothing else; nulls skipped) and string runs with
+    Arrow's group_by; both match DuckDB, with groups spanning blocks."""
+    import duckdb
+    import ray.data
+
+    t = pa.table({"k": pa.array([1, 1, 1, 2, 2, 3, 3, 4], pa.int64()),
+                  "f": pa.array([1.5, float("nan"), None, float("nan"), float("nan"),
+                                 None, None, -2.0], pa.float32()),
+                  "s": pa.array(["b", None, "a", "c", "c", None, None, "d"])})
+    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2, 2), t.slice(4)])
+    specs = [("f", "min", "mnf"), ("f", "max", "mxf"), ("f", "sum", "sf"),
+             ("s", "min", "mns"), ("s", "max", "mxs")]
+    got = sort_group_aggregate(ds, "k", specs).to_arrow_refs()
+    import ray
+
+    got = pa.concat_tables([b for b in ray.get(got) if b.num_rows]).sort_by("k")
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = con.execute("SELECT k, min(f) AS mnf, max(f) AS mxf, sum(f) AS sf, min(s) AS mns, "
+                      "max(s) AS mxs FROM t GROUP BY k ORDER BY k").arrow()
+
+    def norm(tab):
+        return [tuple("NaN" if isinstance(v, float) and v != v else v for v in r.values())
+                for r in tab.to_pylist()]
+
+    assert norm(got) == norm(exp)
+    assert got.schema.field("mnf").type == pa.float32()
+    assert got.schema.field("sf").type == pa.float64()
+
+
 def test_exact_substring_spans_no_dups_short_circuit(ray_session):
     """A corpus with no duplicated grams returns an EMPTY typed result (the
     all-empty join side is a hard ArrowInvalid in Ray 2.49)."""
