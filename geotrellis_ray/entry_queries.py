@@ -234,14 +234,15 @@ SQL_JOIN_NATION = """
 
 
 def q_topk_orders(sf_dir: str):
-    """Global top-10 by price (stages/agg.py:global_top_k): partial top-k
-    per block, one k-row-per-block coalesce, final head — shuffle-free,
-    vs the all-to-all range sort LIMIT-k-via-sort pays."""
-    from .stages.agg import global_top_k
+    """Global top-10 by price: keyless stages/agg.py:grouped_top_k, a
+    partial top-k per block and one final head over <= k rows per block —
+    shuffle-free, vs the all-to-all range sort LIMIT-k-via-sort pays."""
+    from .stages.agg import grouped_top_k
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    return global_top_k(ds, "o_totalprice", 10, descending=True,
-                        tie_col="o_orderkey")
+    top = grouped_top_k(ds, [], "o_totalprice", 10, descending=True, tie_col="o_orderkey")
+    return top.map_batches(lambda b: b.drop_columns(["rank"]), batch_format="pyarrow",
+                           zero_copy_batch=True)
 
 
 SQL_TOPK = """
@@ -643,7 +644,8 @@ def q_bm25_rank(sf_dir: str):
     rational-idf variant): rank the documents for the query
     ["spark", "merge", "window"], top 20. Text is reduced to slim
     (doc_id, tf_t, dl) rows in ONE pass (vectorized RE2 \\b counts);
-    corpus stats tree-aggregate; ranking is the shuffle-free global_top_k.
+    corpus stats tree-aggregate; ranking is the shuffle-free keyless
+    grouped_top_k.
     SQL-checked bit-exact: every score op is + - * / on doubles in a
     documented evaluation order (ln is banished to keep numpy and DuckDB
     bit-identical), and the emitted columns (rank, doc_id, dl, tf_total)
@@ -6007,10 +6009,9 @@ SQL_GROUPED_TOPK_SORT = f"""
 def q_distinct_cents_per_user(sf_dir: str):
     """EXACT grouped COUNT(DISTINCT) (stages/agg.py:
     sort_group_count_distinct) — distinct spent amounts (integer cents)
-    per user: ONE range sort on (user, cents) makes duplicates contiguous,
-    blocks count val-change boundaries, and the O(#blocks) edge stitch
-    subtracts duplicate runs that straddle block cuts. The exact sibling
-    of the HLL path (q_distinct_users_by_type); SQL-checked."""
+    per user: one partial_groupby collapses the rows to distinct
+    (user, cents) pairs, a second counts each user's pairs and rows. The
+    exact sibling of the HLL path (q_distinct_users_by_type); SQL-checked."""
     from .stages.agg import sort_group_count_distinct
 
     ds = _read(sf_dir, "events", ["user_id", "value"])
@@ -6070,10 +6071,9 @@ SQL_GROUPED_MEDIAN = """
 def q_dominant_type_per_user(sf_dir: str):
     """EXACT grouped MODE (stages/agg.py:sort_group_mode) — each user's
     most frequent event_type, ties to the lexicographically smallest:
-    one range sort on (user, type) makes every (user, type) pair one
-    contiguous run; interior groups answer in place, boundary runs chain
-    across block cuts on the O(#blocks) driver side channel. SQL-checked
-    vs a QUALIFY argmax over grouped counts."""
+    partial_groupby counts the (user, type) pairs, grouped_top_k keeps each
+    user's top pair and a second partial_groupby sums the user's rows.
+    SQL-checked vs a QUALIFY argmax over grouped counts."""
     from .stages.agg import sort_group_mode
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])

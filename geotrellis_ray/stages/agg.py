@@ -11,8 +11,15 @@ with a per-group top-k as the combiner.
 Both end in ``_grouped_final``, which measures the partial stream once and
 picks the merge from its size in bytes: on the driver up to
 ``_SINGLE_DRIVER_MAX_BYTES``, one whole block up to
-``_SINGLE_FINAL_MAX_BYTES``, a range sort above (the sort_* functions below,
-built for #groups ~ #rows). No call site picks.
+``_SINGLE_FINAL_MAX_BYTES``, a range sort above (``sort_group_aggregate``
+and ``sort_grouped_top_k``, built for #groups ~ #rows). No call site picks.
+Keyless ``grouped_top_k`` is ORDER BY ... LIMIT k. Exact grouped COUNT
+DISTINCT and MODE are compositions of the two (``sort_group_count_distinct``,
+``sort_group_mode``), so they take the same merges and null semantics.
+
+Every range sort here goes through ``_range_sort`` (null- and NaN-safe),
+except the unique-id sorts of the token packers and ``exact_quantiles``'
+sort of one null-free column.
 
 Supported specs: ("col", "sum"), ("col", "min"), ("col", "max"),
 ("col", "count" -> output alias counts rows). Output column names are the
@@ -44,6 +51,18 @@ def _empty_input(ds) -> pa.Table:
     """A zero-row table with ``ds``'s schema (only the first block is read)."""
     sch = ds.schema(fetch_if_missing=True)
     return pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
+
+
+def _typed_map(ds, fn):
+    """``ds.map_batches(fn)`` over Arrow batches that stays typed when ``ds``
+    has no rows: Ray 2.49's map skips empty blocks, so its output would have
+    no schema for a later merge to read."""
+    import ray.data as rd
+
+    ds = ds.materialize()
+    if ds.count() == 0:
+        return rd.from_arrow(fn(_empty_input(ds)))
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _grouped_final(partial, reduce, sort, empty, site: str):
@@ -409,36 +428,33 @@ def grouped_top_k(ds, keys, order_col: str, k: int, descending: bool = True,
         lambda: head(_empty_input(ds)), "stages.agg.grouped_top_k")
 
 
-def global_top_k(ds, order_col: str, k: int, descending: bool = True,
-                 tie_col: str | None = None):
-    """Global top-k (ORDER BY ... LIMIT k) with a PARTIAL top-k combiner —
-    shuffle-free: each block keeps its own top-k (vectorized pandas
-    sort+head), the <= k x #blocks partial rows coalesce into one block,
-    and the final head runs there. Replaces the full range sort (an
-    all-to-all exchange of the whole input) that LIMIT-k-via-sort pays;
-    at 10^12 rows the exchange is corpus-sized while this ships k rows
-    per block."""
-    import pandas as pd
+def _block_offsets(sorted_ds, id_col: str, tokens_col: str):
+    """The token prefix scan's side channel over a materialized, id-sorted
+    dataset: one (first id, token sum) row per block reaches the driver,
+    which cumsums the sums into exclusive block offsets and ``ray.put``s
+    them. -> ``base(block)``, the offset of a block found by its first id
+    (blocks must be the same ones: map them with batch_size=None)."""
+    import ray
 
-    sort_cols = [order_col] + ([tie_col] if tie_col else [])
-    ascending = [not descending] + ([True] if tie_col else [])
+    def block_sum(b: pa.Table) -> pa.Table:
+        return pa.table({"first_id": pa.array([int(b[id_col][0].as_py())], pa.int64()),
+                         "s": pa.array([int(pc.sum(b[tokens_col]).as_py() or 0)], pa.int64())})
 
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        return df.sort_values(sort_cols, ascending=ascending,
-                              kind="stable").head(k)
+    sums = sorted_ds.map_batches(block_sum, batch_format="pyarrow", zero_copy_batch=True,
+                                 batch_size=None)
+    parts = [t for t in ray.get(sums.to_arrow_refs()) if t.num_rows]
+    fids = offs = np.zeros(0, np.int64)
+    if parts:
+        side = pa.concat_tables(parts).sort_by("first_id")
+        fids, offs = side["first_id"].to_numpy(), np.zeros(side.num_rows, np.int64)
+        np.cumsum(side["s"].to_numpy()[:-1], out=offs[1:])
+    ref = ray.put((fids, offs))
 
-    # two map-only combine levels (per-block, then ~coalesced blocks), so
-    # the driver-side final sees <= k rows per ~128k-row partial batch —
-    # no repartition/sort operator anywhere (both pay the all-to-all
-    # machinery floor even for k rows; measured ~2 s at bench scale)
-    partial = ds.map_batches(partial_topk, batch_format="pandas")
-    partial = partial.map_batches(partial_topk, batch_format="pandas",
-                                  batch_size=131_072)
-    import ray.data
+    def base(b: pa.Table) -> int:
+        fids, offs = ray.get(ref)
+        return int(offs[np.searchsorted(fids, int(b[id_col][0].as_py()))])
 
-    return ray.data.from_pandas(partial_topk(partial.to_pandas()))
+    return base
 
 
 def pack_token_shards(ds, budget: int, id_col: str = "doc_id",
@@ -457,32 +473,8 @@ def pack_token_shards(ds, budget: int, id_col: str = "doc_id",
     (batch_size=None = exactly one block per task, stable across both
     passes) adding the broadcast block offset to a local cumsum. The
     driver never sees a row, only block sums."""
-    import numpy as np
-    import ray
-
     sorted_ds = ds.sort(id_col).materialize()
-
-    def block_sum(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"first_id": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.int64())})
-        t = b[tokens_col].to_numpy(zero_copy_only=False)
-        return pa.table({"first_id": pa.array([int(b[id_col][0].as_py())], pa.int64()),
-                         "s": pa.array([int(t.sum())], pa.int64())})
-
-    side = sorted_ds.map_batches(block_sum, batch_format="pyarrow",
-                                 zero_copy_batch=True,
-                                 batch_size=None).to_pandas()
-    if len(side) == 0:
-        # fully-empty input: Ray's empty to_pandas() loses column names
-        fids = np.empty(0, dtype=np.int64)
-        block_offs = np.empty(0, dtype=np.int64)
-    else:
-        side = side.sort_values("first_id")
-        fids = side["first_id"].to_numpy()
-        block_offs = np.zeros(len(side), dtype=np.int64)
-        np.cumsum(side["s"].to_numpy()[:-1], out=block_offs[1:])
-    off_ref = ray.put((fids, block_offs))
+    base = _block_offsets(sorted_ds, id_col, tokens_col)
 
     def assign(b: pa.Table) -> pa.Table:
         # appends shard_id/offset_in_shard, preserving every input column
@@ -491,10 +483,8 @@ def pack_token_shards(ds, budget: int, id_col: str = "doc_id",
             return b.append_column(
                 "shard_id", pa.array([], pa.int64())).append_column(
                 "offset_in_shard", pa.array([], pa.int64()))
-        fids, boffs = ray.get(off_ref)
         t = b[tokens_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = int(boffs[np.searchsorted(fids, int(b[id_col][0].as_py()))])
-        ex = np.full(len(t), base, dtype=np.int64)
+        ex = np.full(len(t), base(b), dtype=np.int64)
         ex[1:] += np.cumsum(t[:-1])
         return b.append_column(
             "shard_id", pa.array(ex // budget, pa.int64())).append_column(
@@ -518,31 +508,8 @@ def pack_token_spans(ds, budget: int, id_col: str = "doc_id",
     Same distributed shape as pack_token_shards: ONE range sort by id, an
     O(#blocks) block-sum side channel, then a vectorized per-block span
     explosion (np.repeat over span counts — no Python per-span loop)."""
-    import numpy as np
-    import ray
-
     sorted_ds = ds.sort(id_col).materialize()
-
-    def block_sum(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"first_id": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.int64())})
-        t = b[tokens_col].to_numpy(zero_copy_only=False)
-        return pa.table({"first_id": pa.array([int(b[id_col][0].as_py())], pa.int64()),
-                         "s": pa.array([int(t.sum())], pa.int64())})
-
-    side = sorted_ds.map_batches(block_sum, batch_format="pyarrow",
-                                 zero_copy_batch=True,
-                                 batch_size=None).to_pandas()
-    if len(side) == 0:
-        fids = np.empty(0, dtype=np.int64)
-        block_offs = np.empty(0, dtype=np.int64)
-    else:
-        side = side.sort_values("first_id")
-        fids = side["first_id"].to_numpy()
-        block_offs = np.zeros(len(side), dtype=np.int64)
-        np.cumsum(side["s"].to_numpy()[:-1], out=block_offs[1:])
-    off_ref = ray.put((fids, block_offs))
+    base = _block_offsets(sorted_ds, id_col, tokens_col)
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "shard_id": pa.array([], pa.int64()),
@@ -553,10 +520,8 @@ def pack_token_spans(ds, budget: int, id_col: str = "doc_id",
     def explode(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return empty
-        fids_, boffs = ray.get(off_ref)
         n = b[tokens_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = int(boffs[np.searchsorted(fids_, int(b[id_col][0].as_py()))])
-        start = np.full(len(n), base, dtype=np.int64)
+        start = np.full(len(n), base(b), dtype=np.int64)
         start[1:] += np.cumsum(n[:-1])
         end = start + n
         keep = n > 0
@@ -592,10 +557,11 @@ def exact_quantiles(ds, col: str, quantiles: list[float]):
     DuckDB's quantile_disc convention, verified empirically): ONE range sort
     of the single projected column, then the driver reads ONLY block
     row-counts (metadata) and fetches the handful of blocks holding the
-    target indices. Never collects the column."""
-    import numpy as np
-
-    sorted_ds = ds.select_columns([col]).sort(col).materialize()
+    target indices. Never collects the column. Nulls are skipped, as in
+    DuckDB; no value at all gives None."""
+    sorted_ds = (ds.map_batches(lambda b: b.select([col]).drop_null(), batch_format="pyarrow",
+                                zero_copy_batch=True)
+                   .sort(col).materialize())
     # count() on a materialized Dataset is driver-side metadata — O(#blocks)
     total = sorted_ds.count()
     if total == 0:
@@ -701,451 +667,163 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
 
 
 def sort_group_count_distinct(ds, key_col: str, val_col: str):
-    """EXACT grouped COUNT(DISTINCT val) at UNBOUNDED key cardinality —
-    the exact sibling of the HLL sketch path (stages/stats.py) for when
-    the answer must be right, not approximate (distinct users per URL,
-    distinct domains per n-gram).
+    """EXACT grouped COUNT(DISTINCT val) — the exact sibling of the HLL
+    sketch path (stages/stats.py) for when the answer must be right, not
+    approximate (distinct users per URL, distinct domains per n-gram).
+    -> Dataset (key_col, n_distinct, n_rows).
 
-    Shape: ONE range sort on (key, val) makes duplicate values globally
-    contiguous, so a block counts a segment's distinct values as its
-    val-change boundaries (vectorized). Interior segments are complete
-    groups and emit in place; the <=2 EDGE segments per block ship
-    (key, n_distinct, n_rows, first_val, last_val) through the O(#blocks)
-    driver side channel, where adjacent same-key segments merge with a
-    -1 correction when the boundary value continues across the block cut
-    (a duplicate run spanning blocks). -> Dataset (key_col, n_distinct,
-    n_rows). val must be numeric/sortable."""
-    import numpy as np
-    import ray
-    import ray.data as rd
+    Two partial_groupby passes: the first collapses the input to its
+    distinct (key, val) pairs with their row counts, the second counts a
+    key's pairs with a non-null value and sums its rows. Each pass picks its
+    own final merge by size, so #groups ~ #rows takes the range sort. SQL
+    semantics: a null value is not a distinct value, n_rows counts every
+    row, null keys form one group, NaN is one value."""
+    pairs = partial_groupby(ds, [key_col, val_col], [(val_col, "count", "c")])
 
-    def block_fn(b: pa.Table) -> pa.Table:
-        key_t = b.schema.field(key_col).type
-        val_t = b.schema.field(val_col).type
-        if b.num_rows == 0:
-            return pa.table({
-                "__edge": pa.array([], pa.int8()), key_col: pa.array([], key_t),
-                "n_distinct": pa.array([], pa.int64()),
-                "n_rows": pa.array([], pa.int64()),
-                "__fv": pa.array([], val_t), "__lv": pa.array([], val_t)})
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        vals = b[val_col].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        idx = np.arange(n, dtype=np.int64)
-        seg_first = np.ones(n, dtype=bool)
-        seg_first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(seg_first)
-        ends = np.r_[starts[1:], n]
-        new_val = np.ones(n, dtype=bool)
-        new_val[1:] = seg_first[1:] | (vals[1:] != vals[:-1])
-        cs = np.cumsum(new_val)
-        nd = cs[ends - 1] - cs[starts] + 1
-        nseg = len(starts)
-        edge = np.zeros(nseg, dtype=bool)
-        edge[0] = True
-        edge[-1] = True
-        sel = np.r_[np.flatnonzero(~edge), np.flatnonzero(edge)]
-        kind = np.r_[np.zeros(int((~edge).sum()), np.int8),
-                     np.ones(int(edge.sum()), np.int8)]
-        return pa.table({
-            "__edge": pa.array(kind, pa.int8()),
-            key_col: pa.array(keys[starts[sel]]).cast(key_t),
-            "n_distinct": pa.array(nd[sel], pa.int64()),
-            "n_rows": pa.array((ends - starts)[sel], pa.int64()),
-            "__fv": pa.array(vals[starts[sel]]).cast(val_t),
-            "__lv": pa.array(vals[ends[sel] - 1]).cast(val_t)})
+    def flag(b: pa.Table) -> pa.Table:
+        return b.append_column("__valid", pc.cast(b[val_col].is_valid(), pa.int64()))
 
-    segs = (ds.map_batches(lambda b: b.select([key_col, val_col]),
-                           batch_format="pyarrow", zero_copy_batch=True)
-              .sort([key_col, val_col])
-              .map_batches(block_fn, batch_format="pyarrow", zero_copy_batch=True)
-              .materialize())
-    if segs.count() == 0:
-        sch = ds.schema(fetch_if_missing=True)
-        key_t = dict(zip(sch.names, sch.types))[key_col]
-        return rd.from_arrow(pa.table({
-            key_col: pa.array([], key_t), "n_distinct": pa.array([], pa.int64()),
-            "n_rows": pa.array([], pa.int64())}))
-    interior = segs.filter(expr="__edge == 0").drop_columns(["__edge", "__fv", "__lv"])
-    edge_parts = ray.get(
-        segs.filter(expr="__edge == 1").drop_columns(["__edge"]).to_arrow_refs())
-    edge_all = pa.concat_tables([t for t in edge_parts if t.num_rows])
-    # adjacency within a key follows the global (key, val) order, so a
-    # stable sort on (key, first_val, last_val) reconstructs block order
-    df = edge_all.to_pandas().sort_values(
-        [key_col, "__fv", "__lv"], kind="mergesort").reset_index(drop=True)
-    ks = df[key_col].to_numpy()
-    fv = df["__fv"].to_numpy()
-    lv = df["__lv"].to_numpy()
-    nd = df["n_distinct"].to_numpy().astype(np.int64)
-    nr = df["n_rows"].to_numpy().astype(np.int64)
-    same = np.zeros(len(df), dtype=bool)
-    if len(df) > 1:
-        same[1:] = ks[1:] == ks[:-1]
-    # boundary value continuing across the cut double-counts one distinct
-    dup_boundary = same.copy()
-    if len(df) > 1:
-        dup_boundary[1:] &= fv[1:] == lv[:-1]
-    grp_first = ~same
-    gidx = np.cumsum(grp_first) - 1
-    n_groups = int(gidx[-1]) + 1 if len(df) else 0
-    out_nd = np.zeros(n_groups, np.int64)
-    out_nr = np.zeros(n_groups, np.int64)
-    np.add.at(out_nd, gidx, nd - dup_boundary.astype(np.int64))
-    np.add.at(out_nr, gidx, nr)
-    mt = pa.table({key_col: pa.array(ks[grp_first]).cast(edge_all.schema.field(key_col).type),
-                   "n_distinct": pa.array(out_nd, pa.int64()),
-                   "n_rows": pa.array(out_nr, pa.int64())})
-    return rd.from_arrow(mt).union(interior)
+    return partial_groupby(_typed_map(pairs, flag), [key_col],
+                           [("__valid", "sum", "n_distinct"), ("c", "sum", "n_rows")])
 
 
 def exact_grouped_quantile(ds, key_col: str, val_col: str, id_col: str,
                            q="0.5"):
     """EXACT per-group quantile at UNBOUNDED key cardinality —
     quantile_disc semantics: the element at ascending index ceil(n*q)-1
-    of each group (index computed in exact rational arithmetic,
-    Fraction(str(q)), which matches DuckDB bit-for-bit where float
-    ceil(n*q) does not — probed: (100, 0.07)). The grouped sibling of
-    exact_quantiles; median is q="0.5".
+    of each group's n non-null values (index computed in exact rational
+    arithmetic, Fraction(str(q)), which matches DuckDB bit-for-bit where
+    float ceil(n*q) does not — probed: (100, 0.07)), null for a group with
+    no value; n_rows counts every row and null keys form one group. The
+    grouped sibling of exact_quantiles; median is q="0.5".
 
-    Shape: TWO map passes over ONE materialized range sort on
+    Shape: TWO map passes over ONE materialized ``_range_sort`` on
     (key, val, id) — the pack_token_shards stable-blocks pattern
-    (batch_size=None keeps block contents identical across passes).
-    Pass 1 answers every interior (fully-in-block) group in place and
-    ships an O(#blocks) side channel: per EDGE segment (key, count,
-    in-block segment bounds) plus the block's first (key, val, id) row
-    as its identity/order. The driver walks edge segments in block
-    order, locates which block holds each spanning group's target index,
-    and broadcasts {block_first_id: [(key, local_idx)]}; pass 2 re-maps
-    the same blocks and gathers exactly those elements. The driver never
-    sees a value row. ``id_col`` must be integer and globally unique
+    (batch_size=None keeps block contents identical across passes). Nulls
+    sort last, so a group's values precede its null values. Pass 1 answers
+    every interior (fully-in-block) group in place and ships an O(#blocks)
+    side channel: per EDGE segment its key, row and value counts and start
+    row, plus the block's first (val, id) as its order. The driver walks
+    the edge segments in global order, finds the one holding each spanning
+    group's target value, and broadcasts {block_first_id: rows}; pass 2
+    re-maps the same blocks and gathers exactly those elements. The driver
+    never sees a value row. ``id_col`` must be integer and globally unique
     (it makes the sort a total order, so block identity is unambiguous
     even inside a giant duplicate run).
     -> Dataset (key_col, q_val, n_rows)."""
-    import math
     from fractions import Fraction
 
-    import numpy as np
     import ray
     import ray.data as rd
 
     frac = Fraction(str(q))
     if not (0 < frac <= 1):
         raise ValueError("q must be in (0, 1]")
-    p_, r_ = frac.numerator, frac.denominator
 
-    sorted_ds = (ds.map_batches(lambda b: b.select([key_col, val_col, id_col]),
-                                batch_format="pyarrow", zero_copy_batch=True)
-                   .sort([key_col, val_col, id_col])
-                   .materialize())
+    def target(n):
+        # ascending index of the quantile among n values; -1 for n = 0
+        return (n * frac.numerator + frac.denominator - 1) // frac.denominator - 1
 
-    def _segments(b: pa.Table):
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        idx = np.arange(n, dtype=np.int64)
-        seg_first = np.ones(n, dtype=bool)
-        seg_first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(seg_first)
-        ends = np.r_[starts[1:], n]
-        return keys, starts, ends
+    def answer(b: pa.Table, key_at, val_at, n_rows) -> pa.Table:
+        # a negative val_at gives a null q_val
+        return pa.table({key_col: b[key_col].take(pa.array(key_at, pa.int64())),
+                         "q_val": b[val_col].take(pa.array(val_at, pa.int64(), mask=val_at < 0)),
+                         "n_rows": pa.array(n_rows, pa.int64())})
+
+    slim = ds.map_batches(lambda b: b.select([key_col, val_col, id_col]),
+                          batch_format="pyarrow", zero_copy_batch=True)
+    sorted_ds = _range_sort(
+        slim, [(c, "ascending") for c in (key_col, val_col, id_col)]).materialize()
 
     def pass1(b: pa.Table) -> pa.Table:
-        key_t = b.schema.field(key_col).type
-        val_t = b.schema.field(val_col).type
-        empty = pa.table({
-            "kind": pa.array([], pa.int8()), key_col: pa.array([], key_t),
-            "q_val": pa.array([], val_t), "n_rows": pa.array([], pa.int64()),
-            "__blk": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        keys, starts, ends = _segments(b)
-        vals = b[val_col].to_numpy(zero_copy_only=False)
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        cnt = ends - starts
-        nseg = len(starts)
-        edge = np.zeros(nseg, dtype=bool)
-        edge[0] = True
-        edge[-1] = True
-        # interior groups: answer in place (exact rational target index)
-        it = np.flatnonzero(~edge)
-        tgt = (cnt[it] * p_ + r_ - 1) // r_ - 1
-        interior = pa.table({
-            "kind": pa.array(np.zeros(len(it), np.int8), pa.int8()),
-            key_col: pa.array(keys[starts[it]]).cast(key_t),
-            "q_val": pa.array(vals[starts[it] + tgt]).cast(val_t),
-            "n_rows": pa.array(cnt[it], pa.int64()),
-            "__blk": pa.array(np.zeros(len(it), np.int64), pa.int64())})
-        # edge segments: side channel (q_val slot reuses the block's first
-        # VALUE so the driver can order blocks by (key0, val0, id0))
-        ee = np.flatnonzero(edge)
-        side = pa.table({
-            "kind": pa.array(np.ones(len(ee), np.int8), pa.int8()),
-            key_col: pa.array(keys[starts[ee]]).cast(key_t),
-            "q_val": pa.array(np.repeat(vals[0], len(ee))).cast(val_t),
-            "n_rows": pa.array(cnt[ee], pa.int64()),
-            "__blk": pa.array(np.full(len(ee), int(ids[0]), np.int64), pa.int64())})
-        return pa.concat_tables([interior, side])
+        starts = np.flatnonzero(_group_starts(b, [key_col]))
+        cnt = np.diff(np.r_[starts, b.num_rows])
+        valid = b[val_col].is_valid().to_numpy(zero_copy_only=False).astype(np.int64)
+        nv = np.add.reduceat(valid, starts)
+        edge = np.isin(np.arange(len(starts)), [0, len(starts) - 1])
+        it, ee = np.flatnonzero(~edge), np.flatnonzero(edge)
+        # interior groups answer in place; edge segments feed the side
+        # channel, their q_val slot holding the block's first value
+        seg = np.r_[it, ee]
+        val_at = np.r_[np.where(nv > 0, starts + target(nv), -1)[it], np.zeros(len(ee), np.int64)]
+        out = answer(b, starts[seg], val_at, cnt[seg])
+        blk = int(b[id_col][0].as_py())
+        extra = {"kind": np.r_[np.zeros(len(it), np.int8), np.ones(len(ee), np.int8)],
+                 "n_valid": nv[seg], "__start": starts[seg], "__blk": np.full(len(seg), blk)}
+        for name, col in extra.items():
+            out = out.append_column(name, pa.array(col))
+        return out
 
     mixed = sorted_ds.map_batches(pass1, batch_format="pyarrow",
                                   zero_copy_batch=True, batch_size=None).materialize()
+    none = np.zeros(0, np.int64)
     if mixed.count() == 0:
-        sch = ds.schema(fetch_if_missing=True)
-        types = dict(zip(sch.names, sch.types))
-        return rd.from_arrow(pa.table({
-            key_col: pa.array([], types[key_col]),
-            "q_val": pa.array([], types[val_col]),
-            "n_rows": pa.array([], pa.int64())}))
-    interior = mixed.filter(expr="kind == 0").drop_columns(["kind", "__blk"])
+        return rd.from_arrow(answer(_empty_input(ds), none, none, none))
+    interior = mixed.map_batches(
+        lambda b: b.filter(pc.equal(b["kind"], 0)).select([key_col, "q_val", "n_rows"]),
+        batch_format="pyarrow", zero_copy_batch=True)
     side = pa.concat_tables(
-        [t for t in ray.get(mixed.filter(expr="kind == 1").to_arrow_refs())
-         if t.num_rows]).to_pandas()
-    # block order = global order of each block's first (key, val, id) row;
-    # within a block its (<=2) edge segments arrive first-then-last already
-    # (pass1 emits them in index order), so a stable sort on the block
-    # identity alone preserves segment order
-    side["__ord"] = np.arange(len(side))
-    blk_first = side.groupby("__blk", sort=False).first()
-    blk_order = blk_first.sort_values([key_col, "q_val", "__blk"]).index
-    blk_rank = {b: i for i, b in enumerate(blk_order)}
-    side["__brank"] = side["__blk"].map(blk_rank)
-    side = side.sort_values(["__brank", "__ord"], kind="mergesort")
-    assign: dict[int, list] = {}
-    cur_key = None
-    segs: list = []
-
-    def _flush():
-        if cur_key is None:
-            return
-        n_k = sum(c for c, _b in segs)
-        t = (n_k * p_ + r_ - 1) // r_ - 1
-        off = 0
-        for c, bid in segs:
-            if off <= t < off + c:
-                assign.setdefault(int(bid), []).append((cur_key, int(t - off)))
-                break
-            off += c
-
-    for _i, row in side.iterrows():
-        k = row[key_col]
-        if k != cur_key:
-            _flush()
-            cur_key, segs = k, []
-        segs.append((int(row["n_rows"]), row["__blk"]))
-    _flush()
-    ref = ray.put(assign)
+        [t for t in ray.get(mixed.filter(expr="kind == 1").to_arrow_refs()) if t.num_rows])
+    # global order of the edge segments: blocks by their first (key, val,
+    # id) row, which is the start of their segment 0; segments by start
+    first = side.filter(pc.equal(side["__start"], 0)).sort_by(
+        [(key_col, "ascending"), ("q_val", "ascending"), ("__blk", "ascending")])
+    blk_ids = first["__blk"].to_numpy()
+    by_id = np.argsort(blk_ids)
+    rank = by_id[np.searchsorted(blk_ids, side["__blk"].to_numpy(), sorter=by_id)]
+    side = side.take(pa.array(np.lexsort((side["__start"].to_numpy(), rank))))
+    new = _group_starts(side, [key_col])
+    g0, gid = np.flatnonzero(new), np.cumsum(new) - 1
+    start, n_rows, nv = (side[c].to_numpy() for c in ("__start", "n_rows", "n_valid"))
+    before = np.cumsum(nv) - nv
+    off = before - before[g0][gid]  # values in the group's earlier segments
+    t = target(np.add.reduceat(nv, g0))[gid]
+    # the segment holding the target; a group with no value answers null
+    # from its first segment
+    hit = ((off <= t) & (t < off + nv)) | (new & (t < 0))
+    val_at = np.where(t >= 0, start + t - off, -1)
+    todo: dict[int, list] = {}
+    for blk, row in zip(side["__blk"].to_numpy()[hit],
+                        zip(start[hit], val_at[hit], np.add.reduceat(n_rows, g0)[gid][hit])):
+        todo.setdefault(int(blk), []).append(row)
+    ref = ray.put({blk: np.array(rows, np.int64).T for blk, rows in todo.items()})
 
     def pass2(b: pa.Table) -> pa.Table:
-        key_t = b.schema.field(key_col).type
-        val_t = b.schema.field(val_col).type
-        if b.num_rows == 0:
-            return pa.table({key_col: pa.array([], key_t),
-                             "q_val": pa.array([], val_t),
-                             "n_rows": pa.array([], pa.int64())})
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        todo = ray.get(ref).get(int(ids[0]), [])
-        if not todo:
-            return pa.table({key_col: pa.array([], key_t),
-                             "q_val": pa.array([], val_t),
-                             "n_rows": pa.array([], pa.int64())})
-        keys, starts, ends = _segments(b)
-        vals = b[val_col].to_numpy(zero_copy_only=False)
-        seg_keys = keys[starts]
-        out_k, out_v = [], []
-        for k, local in todo:
-            j = int(np.searchsorted(seg_keys, k))
-            out_k.append(k)
-            out_v.append(vals[starts[j] + local])
-        return pa.table({key_col: pa.array(out_k).cast(key_t),
-                         "q_val": pa.array(out_v).cast(val_t),
-                         "n_rows": pa.array([0] * len(out_k), pa.int64())})
+        rows = ray.get(ref).get(int(b[id_col][0].as_py()))
+        return answer(b, none, none, none) if rows is None else answer(b, *rows)
 
     gathered = sorted_ds.map_batches(pass2, batch_format="pyarrow",
                                      zero_copy_batch=True, batch_size=None)
-    # n_rows for spanning groups comes from the side channel, not pass 2
-    nk = side.groupby(key_col, sort=False)["n_rows"].sum()
-
-    def fix_counts(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        counts = [int(nk[k]) for k in b[key_col].to_pylist()]
-        return b.set_column(b.schema.get_field_index("n_rows"), "n_rows",
-                            pa.array(counts, pa.int64()))
-
-    gathered = gathered.map_batches(fix_counts, batch_format="pyarrow",
-                                    zero_copy_batch=True)
     return gathered.union(interior)
 
 
 def sort_group_mode(ds, key_col: str, val_col: str):
     """EXACT grouped MODE (most frequent value; ties to the SMALLEST
-    value) at UNBOUNDED key cardinality — majority label per cluster /
-    dominant language per domain. -> Dataset (key_col, mode_val,
-    mode_cnt, n_rows).
+    value) — majority label per cluster / dominant language per domain.
+    -> Dataset (key_col, mode_val, mode_cnt, n_rows).
 
-    Shape: ONE range sort on (key, val) makes every (key, val) pair a
-    single globally-contiguous run, split only at block cuts. Interior
-    segments are whole groups and answer in place. Each EDGE segment
-    ships O(1) summary rows — its first/last (possibly continuing)
-    boundary runs plus its best fully-inner run — through the O(#blocks)
-    driver side channel, where boundary runs chain across cuts (including
-    through whole blocks that are a single run) and the per-key argmax
-    picks (count DESC, value ASC). The driver never sees a data row."""
-    import numpy as np
-    import ray
-    import ray.data as rd
+    partial_groupby counts the (key, val) pairs; grouped_top_k keeps each
+    key's top pair (count DESC, val ASC) and a second partial_groupby sums
+    each key's rows over the same pairs. The two are stitched by a
+    null-padded union and a max per key, not a join: joins never match
+    null keys. GROUP BY semantics: null keys form one group, and a null
+    value is a value that loses every tie."""
+    pairs = partial_groupby(ds, [key_col, val_col],
+                            [(val_col, "count", "mode_cnt")]).materialize()
+    val_t = _empty_input(pairs).schema.field(val_col).type
+    best = grouped_top_k(pairs, [key_col], "mode_cnt", 1, tie_col=val_col)
+    totals = partial_groupby(pairs, [key_col], [("mode_cnt", "sum", "n_rows")])
 
-    def _runs(keys, vals):
-        n = len(keys)
-        idx = np.arange(n, dtype=np.int64)
-        seg_first = np.ones(n, dtype=bool)
-        seg_first[1:] = keys[1:] != keys[:-1]
-        run_first = seg_first.copy()
-        run_first[1:] |= vals[1:] != vals[:-1]
-        r_starts = np.flatnonzero(run_first)
-        r_ends = np.r_[r_starts[1:], n]
-        seg_id = np.cumsum(seg_first) - 1
-        return seg_first, r_starts, r_ends, seg_id[r_starts]
+    def pad_best(b: pa.Table) -> pa.Table:
+        return (b.select([key_col, val_col, "mode_cnt"])
+                 .rename_columns([key_col, "mode_val", "mode_cnt"])
+                 .append_column("n_rows", pa.nulls(b.num_rows, pa.int64())))
 
-    def _mode_per_group(run_seg, run_cnt, run_val, mask=None):
-        """argmax (cnt desc, val asc) per run_seg group among masked runs.
-        Returns (seg_ids, best_val, best_cnt)."""
-        if mask is not None:
-            run_seg, run_cnt, run_val = run_seg[mask], run_cnt[mask], run_val[mask]
-        if len(run_seg) == 0:
-            return run_seg, run_val, run_cnt
-        order = np.lexsort((run_val, -run_cnt, run_seg))
-        rs, rc, rv = run_seg[order], run_cnt[order], run_val[order]
-        first = np.ones(len(rs), dtype=bool)
-        first[1:] = rs[1:] != rs[:-1]
-        sel = np.flatnonzero(first)
-        return rs[sel], rv[sel], rc[sel]
+    def pad_totals(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        return pa.table([b[key_col], pa.nulls(n, val_t), pa.nulls(n, pa.int64()), b["n_rows"]],
+                        names=[key_col, "mode_val", "mode_cnt", "n_rows"])
 
-    def pass1(b: pa.Table) -> pa.Table:
-        key_t = b.schema.field(key_col).type
-        val_t = b.schema.field(val_col).type
-        cols = [("kind", pa.int8()), (key_col, key_t), ("mode_val", val_t),
-                ("mode_cnt", pa.int64()), ("n_rows", pa.int64()),
-                ("nruns", pa.int64()), ("fv", val_t), ("fc", pa.int64()),
-                ("lv", val_t), ("lc", pa.int64()), ("bc", pa.int64())]
-        if b.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in cols})
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        vals = b[val_col].to_numpy(zero_copy_only=False)
-        seg_first, r_starts, r_ends, run_seg = _runs(keys, vals)
-        run_cnt = r_ends - r_starts
-        run_val = vals[r_starts]
-        seg_starts = np.flatnonzero(seg_first)
-        seg_ends = np.r_[seg_starts[1:], len(keys)]
-        nseg = len(seg_starts)
-        # first/last run index per segment
-        sr_first = np.ones(len(run_seg), dtype=bool)
-        sr_first[1:] = run_seg[1:] != run_seg[:-1]
-        seg_run0 = np.flatnonzero(sr_first)
-        seg_runN = np.r_[seg_run0[1:], len(run_seg)] - 1
-        edge_seg = np.zeros(nseg, dtype=bool)
-        edge_seg[0] = True
-        edge_seg[-1] = True
-        # interior segments: whole groups, mode over ALL their runs
-        it_mask = ~edge_seg[run_seg]
-        gs, gv, gc = _mode_per_group(run_seg, run_cnt, run_val, it_mask)
-        z = np.zeros(len(gs), np.int64)
-        interior = pa.table({
-            "kind": pa.array(np.zeros(len(gs), np.int8), pa.int8()),
-            key_col: pa.array(keys[seg_starts[gs]]).cast(key_t),
-            "mode_val": pa.array(gv).cast(val_t),
-            "mode_cnt": pa.array(gc, pa.int64()),
-            "n_rows": pa.array((seg_ends - seg_starts)[gs], pa.int64()),
-            "nruns": pa.array(z, pa.int64()), "fv": pa.array(gv).cast(val_t),
-            "fc": pa.array(z, pa.int64()), "lv": pa.array(gv).cast(val_t),
-            "lc": pa.array(z, pa.int64()), "bc": pa.array(z, pa.int64())})
-        # edge segments: boundary runs + best fully-inner run
-        ee = np.flatnonzero(edge_seg)
-        inner_mask = np.ones(len(run_seg), dtype=bool)
-        inner_mask[seg_run0] = False
-        inner_mask[seg_runN] = False
-        inner_mask &= edge_seg[run_seg]
-        bs, bv, bcnt = _mode_per_group(run_seg, run_cnt, run_val, inner_mask)
-        bi_val = {int(s): v for s, v in zip(bs, bv)}
-        bi_cnt = {int(s): int(c) for s, c in zip(bs, bcnt)}
-        edge = pa.table({
-            "kind": pa.array(np.ones(len(ee), np.int8), pa.int8()),
-            key_col: pa.array(keys[seg_starts[ee]]).cast(key_t),
-            # mode_val carries the best-inner VALUE for edge rows (fv as a
-            # typed placeholder when there is no inner run; bc==0 marks it)
-            "mode_val": pa.array([bi_val.get(int(s), vals[seg_starts[s]])
-                                  for s in ee]).cast(val_t),
-            "mode_cnt": pa.array([bi_cnt.get(int(s), 0) for s in ee], pa.int64()),
-            "n_rows": pa.array((seg_ends - seg_starts)[ee], pa.int64()),
-            "nruns": pa.array(seg_runN[ee] - seg_run0[ee] + 1, pa.int64()),
-            "fv": pa.array(run_val[seg_run0[ee]]).cast(val_t),
-            "fc": pa.array(run_cnt[seg_run0[ee]], pa.int64()),
-            "lv": pa.array(run_val[seg_runN[ee]]).cast(val_t),
-            "lc": pa.array(run_cnt[seg_runN[ee]], pa.int64()),
-            "bc": pa.array([bi_cnt.get(int(s), 0) for s in ee], pa.int64())})
-        return pa.concat_tables([interior, edge])
-
-    segs = (ds.map_batches(lambda b: b.select([key_col, val_col]),
-                           batch_format="pyarrow", zero_copy_batch=True)
-              .sort([key_col, val_col])
-              .map_batches(pass1, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=None)
-              .materialize())
-    if segs.count() == 0:
-        sch = ds.schema(fetch_if_missing=True)
-        types = dict(zip(sch.names, sch.types))
-        return rd.from_arrow(pa.table({
-            key_col: pa.array([], types[key_col]),
-            "mode_val": pa.array([], types[val_col]),
-            "mode_cnt": pa.array([], pa.int64()),
-            "n_rows": pa.array([], pa.int64())}))
-    out_cols = [key_col, "mode_val", "mode_cnt", "n_rows"]
-    interior = segs.filter(expr="kind == 0").select_columns(out_cols)
-    df = pa.concat_tables(
-        [t for t in ray.get(segs.filter(expr="kind == 1").to_arrow_refs())
-         if t.num_rows]).to_pandas()
-    # block order: same-key segments have disjoint value ranges except the
-    # shared boundary value, so (key, fv, lv) reconstructs adjacency
-    # (identical single-run segments are interchangeable)
-    df = df.sort_values([key_col, "fv", "lv"], kind="mergesort").reset_index(drop=True)
-    out = {key_col: [], "mode_val": [], "mode_cnt": [], "n_rows": []}
-    cur = None  # (key, chain_val, chain_cnt, candidates[(cnt, val)], n_rows)
-
-    def _close(cur):
-        cands = cur[3] + [(cur[2], cur[1])]
-        cands.sort(key=lambda t: (-t[0], t[1]))
-        out[key_col].append(cur[0])
-        out["mode_val"].append(cands[0][1])
-        out["mode_cnt"].append(int(cands[0][0]))
-        out["n_rows"].append(int(cur[4]))
-
-    for row in df.itertuples(index=False):
-        r = row._asdict()
-        k = r[key_col]
-        if cur is None or k != cur[0]:
-            if cur is not None:
-                _close(cur)
-            cur = [k, r["fv"], 0, [], 0]
-        cur[4] += int(r["n_rows"])
-        # chain continues iff the boundary value matches
-        if r["fv"] == cur[1]:
-            cur[2] += int(r["fc"])
-        else:
-            cur[3].append((cur[2], cur[1]))
-            cur[1], cur[2] = r["fv"], int(r["fc"])
-        if int(r["nruns"]) >= 2:
-            # the first run ended inside this block: close the chain, keep
-            # the best inner run as a candidate, reopen with the last run
-            cur[3].append((cur[2], cur[1]))
-            if int(r["bc"]) > 0:
-                cur[3].append((int(r["bc"]), r["mode_val"]))
-            cur[1], cur[2] = r["lv"], int(r["lc"])
-    if cur is not None:
-        _close(cur)
-    sch = segs.schema(fetch_if_missing=True)
-    types = dict(zip(sch.names, sch.types))
-    mt = pa.table({
-        key_col: pa.array(out[key_col]).cast(types[key_col]),
-        "mode_val": pa.array(out["mode_val"]).cast(types["mode_val"]),
-        "mode_cnt": pa.array(out["mode_cnt"], pa.int64()),
-        "n_rows": pa.array(out["n_rows"], pa.int64())})
-    return rd.from_arrow(mt).union(interior)
+    both = _typed_map(best, pad_best).union(_typed_map(totals, pad_totals))
+    return partial_groupby(both, [key_col],
+                           [(c, "max", c) for c in ("mode_val", "mode_cnt", "n_rows")])

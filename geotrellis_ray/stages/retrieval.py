@@ -8,8 +8,8 @@ every document to a slim (doc_id, tf_1..tf_k, dl) row (k = #query terms,
 vectorized RE2 counts over the Arrow column). Corpus statistics (N, df_t,
 avgdl) tree-aggregate from per-block partials (one tiny row per block);
 scoring is a broadcast-free second map over the MATERIALIZED slim table
-(constants ride the closure), and the final ranking is the existing
-global_top_k partial-combiner (no all-to-all).
+(constants ride the closure), and the final ranking is the keyless
+grouped_top_k partial combiner (no all-to-all), whose rank is the output's.
 
 Cross-engine exactness: the classic BM25 idf = ln((N-df+0.5)/(df+0.5)+1)
 is NOT bit-reproducible across engines (ln differs in the last ulp between
@@ -48,7 +48,7 @@ def bm25_rank(ds, terms: list[str], id_col: str = "doc_id",
     score(d) = Σ_t wf_t · tf_t·(k1+1) / (tf_t + k1·(1 − b + b·dl/avgdl)),
     wf_t = (N − df_t + 0.5)/(df_t + 0.5), summed left-to-right in term
     order (the evaluation order IS the spec — the oracle spells it out)."""
-    from .agg import global_top_k
+    from .agg import grouped_top_k
 
     pats = [_term_pattern(t) for t in terms]
 
@@ -100,13 +100,6 @@ def bm25_rank(ds, terms: list[str], id_col: str = "doc_id",
 
     scored = slim_ds.map_batches(score, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    top = global_top_k(scored, "score", top_k, descending=True,
-                       tie_col=id_col)
-
-    def add_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({"rank": pa.array(np.arange(1, batch.num_rows + 1), pa.int64()),
-                         id_col: batch[id_col],
-                         "dl": batch["dl"],
-                         "tf_total": batch["tf_total"]})
-
-    return top.map_batches(add_rank, batch_format="pyarrow", zero_copy_batch=True)
+    top = grouped_top_k(scored, [], "score", top_k, descending=True, tie_col=id_col)
+    return top.map_batches(lambda b: b.select(["rank", id_col, "dl", "tf_total"]),
+                           batch_format="pyarrow", zero_copy_batch=True)

@@ -1,9 +1,12 @@
 """stages/agg.py picks every grouped final from the partial-row count
 (``_grouped_final``), with partial_groupby and grouped_top_k as its only
-entry points. This walks the package source and fails on the three ways
-around them: a ``partial_groupby(..., final=...)`` call, a
-``.groupby(...).aggregate(...)`` chain outside stages/agg.py, and a
-hand-written ``final_topk`` merge."""
+entry points. This walks the package source and fails on the ways around
+them: a ``partial_groupby(..., final=...)`` call, a
+``.groupby(...).aggregate(...)`` chain outside stages/agg.py, a
+hand-written ``final_topk`` merge, a ``global_top_k`` copy of keyless
+grouped_top_k, and a ``.sort(`` in stages/agg.py outside ``_range_sort``
+(the null-safe sort) other than the unique-id sorts of the token packers
+and exact_quantiles' sort of one null-free column."""
 
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import ast
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "geotrellis_ray"
+AGG = PKG / "stages" / "agg.py"
+SORTS_ALLOWED = {"_range_sort", "pack_token_shards", "pack_token_spans", "exact_quantiles"}
 
 
 def _name(func: ast.expr) -> str | None:
@@ -29,13 +34,30 @@ def _bypasses(path: Path) -> list[str]:
             if (name == "aggregate" and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Call)
                     and _name(node.func.value.func) == "groupby"
-                    and path != PKG / "stages" / "agg.py"):
+                    and path != AGG):
                 out.append(f"{site}:{node.lineno} groupby().aggregate")
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "final_topk":
-            out.append(f"{site}:{node.lineno} def final_topk")
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in ("final_topk", "global_top_k")):
+            out.append(f"{site}:{node.lineno} def {node.name}")
+    return out
+
+
+def _raw_sorts(path: Path) -> list[str]:
+    """``.sort(`` calls of ``path`` outside the top-level functions allowed one."""
+    out = []
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in SORTS_ALLOWED:
+            continue
+        out += [f"{path.name}:{node.lineno} .sort(" for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and _name(node.func) == "sort"
+                and isinstance(node.func, ast.Attribute)]
     return out
 
 
 def test_grouped_finals_go_through_agg():
     sites = [s for p in sorted(PKG.rglob("*.py")) for s in _bypasses(p)]
     assert sites == [], f"call stages.agg.partial_groupby / grouped_top_k instead: {sites}"
+
+
+def test_agg_sorts_go_through_range_sort():
+    assert _raw_sorts(AGG) == [], "sort through agg._range_sort (null- and NaN-safe)"

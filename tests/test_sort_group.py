@@ -248,18 +248,35 @@ def test_sort_group_count_distinct_string_keys_empty(ray_session):
 
 
 @pytest.mark.parametrize("q,nkeys,nvals,blocks", [
-    ("0.5", 3000, 7, 16), ("0.25", 200, 4, 9), ("0.9", 1, 1, 8), ("1", 50, 1000, 3)])
+    ("0.5", 3000, 7, 16), ("0.25", 200, 4, 9), ("0.9", 1, 1, 8), ("1", 50, 1000, 3),
+    ("0.5", None, None, 3)])
 def test_exact_grouped_quantile_matches_bruteforce(ray_session, q, nkeys, nvals, blocks):
     """Exact grouped quantile_disc vs the brute sorted-index oracle
     (element at ceil(n*q)-1) — duplicate-heavy values, spanning groups,
-    the single-key degenerate layer, and q=1 (max)."""
+    the single-key degenerate layer, q=1 (max), and (nkeys None) a small
+    table with null int keys, which form one group, and null values, which
+    quantile_disc skips, against DuckDB: its null-key group is (None, 5, 3)
+    and its all-null group gives a null value."""
     from fractions import Fraction
 
+    import duckdb
     import pandas as pd
     import ray.data
 
     from geotrellis_ray.stages.agg import exact_grouped_quantile
 
+    if nkeys is None:
+        t = pa.table({"k": pa.array([1, None, 1, None, 2, 2, None, 3, 3], pa.int64()),
+                      "v": pa.array([3, 5, 1, 9, None, 2, 4, None, None], pa.int64()),
+                      "rid": pa.array(np.arange(9), pa.int64())})
+        got = exact_grouped_quantile(ray.data.from_arrow(t).repartition(blocks),
+                                     "k", "v", "rid", q=q).take_all()
+        exp = duckdb.execute(f"SELECT k, quantile_disc(v, {q}) AS q_val, count(*) AS n_rows "
+                             "FROM t GROUP BY k").arrow().to_pylist()
+        nulls_last = sorted(exp, key=lambda r: (r["k"] is None, r["k"] or 0))
+        assert sorted(got, key=lambda r: (r["k"] is None, r["k"] or 0)) == nulls_last
+        assert {"k": None, "q_val": 5, "n_rows": 3} in got
+        return
     rng = np.random.default_rng(abs(hash((q, nkeys))) % 2**31)
     n = 60_000
     t = pa.table({
@@ -331,3 +348,83 @@ def test_sort_group_mode_string_values(ray_session):
                ray.data.from_arrow(t).repartition(4), "k", "v").take_all()}
     # a: en=2 fr=2 de=1 -> tie, smallest value "en"; b: de=2
     assert got == {"a": ("en", 2, 5), "b": ("de", 2, 3)}
+
+
+# (driver max bytes, one-block max bytes) that force each grouped final
+_BRANCHES = {"driver": (1 << 30, 1 << 30), "one_block": (0, 1 << 30), "fallback": (0, 0)}
+
+
+def _null_table() -> pa.Table:
+    """400 rows: 20% null int and string keys, 15% null values, NaN and
+    null floats, a four-value domain so counts tie."""
+    rng = np.random.default_rng(400)
+    n = 400
+    k = rng.integers(0, 4, n)
+    f = rng.integers(0, 4, n) / 2
+    f[rng.random(n) < 0.1] = np.nan
+    return pa.table({
+        "ki": pa.array(k, pa.int64(), mask=rng.random(n) < 0.2),
+        "ks": pa.array(np.array(list("abcd"))[k], pa.string(), mask=rng.random(n) < 0.2),
+        "v": pa.array(rng.integers(0, 4, n), pa.int64(), mask=rng.random(n) < 0.15),
+        "f": pa.array(f, pa.float64(), mask=rng.random(n) < 0.15),
+    })
+
+
+def _vs_duckdb(fn, sql, branch, monkeypatch):
+    """Rows of ``fn(ds)`` (8 blocks, one of them empty) with the grouped
+    finals forced to ``branch``, and DuckDB's rows for ``sql`` over t."""
+    import duckdb
+    import ray.data
+
+    from geotrellis_ray.stages import agg
+
+    t = _null_table()
+    driver_max, block_max = _BRANCHES[branch]
+    monkeypatch.setattr(agg, "_SINGLE_DRIVER_MAX_BYTES", driver_max)
+    monkeypatch.setattr(agg, "_SINGLE_FINAL_MAX_BYTES", block_max)
+    ds = ray.data.from_arrow([t.slice(i * 50, 50) for i in range(8)] + [t.slice(0, 0)])
+    got = fn(ds).take_all()
+    monkeypatch.undo()
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = con.execute(sql).arrow().to_pylist()
+
+    def rows(rs):
+        return sorted((tuple("NaN" if v != v else v for v in r.values()) for r in rs),
+                      key=lambda r: tuple((v is None, str(v)) for v in r))
+
+    return rows(got), rows(exp)
+
+
+@pytest.mark.parametrize("val", ["v", "f"])
+@pytest.mark.parametrize("key", ["ki", "ks"])
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_sort_group_count_distinct_nulls_match_duckdb(ray_session, monkeypatch, branch, key, val):
+    """Null keys form one group, a null value is not a distinct value and
+    NaN is one value, on every grouped final."""
+    from geotrellis_ray.stages.agg import sort_group_count_distinct
+
+    got, exp = _vs_duckdb(
+        lambda ds: sort_group_count_distinct(ds, key, val),
+        f"SELECT {key}, count(DISTINCT {val}) AS n_distinct, count(*) AS n_rows "
+        f"FROM t GROUP BY {key}", branch, monkeypatch)
+    assert got == exp
+
+
+@pytest.mark.parametrize("val", ["v", "f"])
+@pytest.mark.parametrize("key", ["ki", "ks"])
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_sort_group_mode_nulls_match_duckdb(ray_session, monkeypatch, branch, key, val):
+    """Null keys form one group; a null value is a value that loses every
+    tie (GROUP BY semantics, NULLS LAST), on every grouped final."""
+    from geotrellis_ray.stages.agg import sort_group_mode
+
+    got, exp = _vs_duckdb(
+        lambda ds: sort_group_mode(ds, key, val),
+        f"""WITH c AS (SELECT {key}, {val}, count(*) AS cnt FROM t GROUP BY {key}, {val})
+            SELECT {key}, {val} AS mode_val, cnt AS mode_cnt,
+                   sum(cnt) OVER (PARTITION BY {key}) AS n_rows
+            FROM c QUALIFY row_number() OVER (
+                PARTITION BY {key} ORDER BY cnt DESC, {val} ASC NULLS LAST) = 1""",
+        branch, monkeypatch)
+    assert got == exp

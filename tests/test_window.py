@@ -139,6 +139,12 @@ def test_grouped_top_k_and_exact_quantiles(ray_session):
         exp_idx = max(0, int(np.ceil(q * len(sv))) - 1)
         assert val == sv[exp_idx], (q, val, sv[exp_idx])
 
+    # nulls are skipped, as DuckDB's quantile_disc does
+    nulls = pa.table({"v": pa.array([1, None, 3, None, 2, 5], pa.int64())})
+    assert exact_quantiles(ray.data.from_arrow(nulls).repartition(3), "v",
+                           [0.5, 1.0]) == {0.5: 2.0, 1.0: 5.0}
+    assert exact_quantiles(ray.data.from_arrow(nulls.slice(1, 1)), "v", [0.5]) == {0.5: None}
+
 
 def test_duplicated_spans_hash_and_text_agree(ray_session):
     """key="hash" finds exactly the same duplicated spans as key="text"
@@ -215,25 +221,28 @@ def test_sessionize_matches_pandas(ray_session, n_blocks):
 
 
 def test_global_top_k(ray_session):
-    """global_top_k (partial combiner, no sort/repartition operator) vs the
-    full-sort oracle, with duplicate order values exercising the tie col."""
+    """Keyless grouped_top_k (ORDER BY ... LIMIT k: a partial combiner, no
+    sort operator) vs the full-sort oracle, with duplicate order values
+    exercising the tie col; rank is the 1-based position."""
     rng = np.random.default_rng(43)
     t = pa.table({"v": pa.array(rng.integers(0, 500, 4000), pa.int64()),
                   "id": pa.array(np.arange(4000), pa.int64()),
                   "tag": pa.array(rng.choice(["p", "q"], 4000))})
-    from geotrellis_ray.stages.agg import global_top_k
+    from geotrellis_ray.stages.agg import grouped_top_k
 
-    got = (global_top_k(ray.data.from_arrow(t).repartition(11), "v", 7,
-                        descending=True, tie_col="id")
-           .to_pandas().reset_index(drop=True))
+    got = (grouped_top_k(ray.data.from_arrow(t).repartition(11), [], "v", 7,
+                         descending=True, tie_col="id")
+           .to_pandas().sort_values("rank").reset_index(drop=True))
     exp = (t.to_pandas()
            .sort_values(["v", "id"], ascending=[False, True], kind="stable")
            .head(7).reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, exp)
+    assert got["rank"].tolist() == list(range(1, 8))
+    pd.testing.assert_frame_equal(got.drop(columns=["rank"]), exp)
 
     # ascending + k larger than the input
-    got_all = global_top_k(ray.data.from_arrow(t).repartition(3), "v",
-                           10_000, descending=False, tie_col="id").to_pandas()
+    got_all = (grouped_top_k(ray.data.from_arrow(t).repartition(3), [], "v",
+                             10_000, descending=False, tie_col="id")
+               .to_pandas().sort_values("rank"))
     assert len(got_all) == 4000
     assert got_all["v"].is_monotonic_increasing
 
