@@ -20,6 +20,7 @@ Owns its Ray session(s); __ray_entry__/geotrellis_ray never init Ray.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -446,19 +447,15 @@ def run_scaling(n_pages: int, cpus_lo: int, cpus_hi: int) -> dict:
     }
 
 
-def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
-    """Shuffle rehearsal at 10x bench corpus (VERDICT r01 #8): MinHash-LSH
-    near-dedup and the PBSM large-large spatial join at ``n_docs`` documents,
-    recording shuffle-row volumes and peak object-store usage — evidence the
-    wide stages survive scale-up without OOM/spill collapse."""
+@contextlib.contextmanager
+def _rehearsal_session(num_cpus: int):
+    """A rehearsal's Ray session with an object-store sampler thread (4 Hz).
+    Yields ``(peak, total_store)``: ``peak["used"]`` is the highest store
+    fill seen so far, in bytes (a rehearsal may reset it to time one stage).
+    Stops the sampler and shuts Ray down on exit."""
     import threading
 
-    import numpy as np
-    import pyarrow as pa
     import ray
-    import ray.data
-
-    from geotrellis_ray.fixtures import gen_polygons_table, write_pages_parquet
 
     _init_ray(num_cpus)
     peak = {"used": 0.0}
@@ -473,6 +470,57 @@ def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
     t = threading.Thread(target=sampler, daemon=True)
     t.start()
     try:
+        yield peak, total_store
+    finally:
+        stop.set()
+        t.join(timeout=2)
+        ray.shutdown()
+
+
+def _hashed_corpus(pages_path: str):
+    """The text and curation rehearsals' corpus: (doc_id, text) pages plus
+    ~1% planted full-text duplicates. doc_id is the top 42 bits of the url's
+    sha256 prefix: paragraph/line dedup pack (doc_id, position) and curation
+    packs doc_id<<20|n_tokens into one int64, so ids must stay < 2^43 (~0.5
+    expected collisions at 2M docs, harmless for the structural counts). A
+    duplicate's id sets bit 42."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from geotrellis_ray.functions.hashing import sha256_prefix64_column
+
+    def with_id(b: pa.Table) -> pa.Table:
+        h = sha256_prefix64_column(b["url"]) >> np.uint64(22)
+        return pa.table({"doc_id": pa.array(h.astype(np.int64), pa.int64()),
+                         "text": b["text"]})
+
+    def plant_dups(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
+        sel = np.nonzero(ids % 100 == 0)[0]
+        return pa.table({
+            "doc_id": pa.array(ids[sel] ^ np.int64(1 << 42), pa.int64()),
+            "text": b["text"].take(pa.array(sel, pa.int64())),
+        })
+
+    docs = ray.data.read_parquet(pages_path, columns=["url", "text"]).map_batches(
+        with_id, batch_format="pyarrow", zero_copy_batch=True)
+    return docs.union(docs.map_batches(plant_dups, batch_format="pyarrow", zero_copy_batch=True))
+
+
+def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
+    """Shuffle rehearsal at 10x bench corpus (VERDICT r01 #8): MinHash-LSH
+    near-dedup and the PBSM large-large spatial join at ``n_docs`` documents,
+    recording shuffle-row volumes and peak object-store usage — evidence the
+    wide stages survive scale-up without OOM/spill collapse."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from geotrellis_ray.fixtures import gen_polygons_table, write_pages_parquet
+
+    with _rehearsal_session(num_cpus) as (peak, total_store):
         pages_path = f"/tmp/graft_pages_{n_docs}"
         write_pages_parquet(pages_path, n_docs, shard_rows=100_000)
 
@@ -698,10 +746,6 @@ def run_rehearsal(n_docs: int, num_cpus: int) -> dict:
             "object_store_peak_bytes": int(peak["used"]),
             "object_store_peak_frac": round(peak["used"] / total_store, 4) if total_store else None,
         }
-    finally:
-        stop.set()
-        t.join(timeout=2)
-        ray.shutdown()
 
 
 def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
@@ -710,63 +754,17 @@ def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
     ``n_docs`` documents. Structural constants (docs out, kept-line ratio,
     span rows) are load-independent rerun anchors; walls and store peaks
     evidence the slim-row shuffles survive scale-up."""
-    import threading
-
-    import numpy as np
-    import pyarrow as pa
-    import ray
-    import ray.data
-
     from geotrellis_ray.fixtures import write_pages_parquet
 
-    _init_ray(num_cpus)
-    peak = {"used": 0.0}
-    total_store = ray.cluster_resources().get("object_store_memory", 0.0)
-    stop = threading.Event()
-
-    def sampler():
-        while not stop.wait(0.25):
-            avail = ray.available_resources().get("object_store_memory", total_store)
-            peak["used"] = max(peak["used"], total_store - avail)
-
-    t = threading.Thread(target=sampler, daemon=True)
-    t.start()
-    try:
+    with _rehearsal_session(num_cpus) as (peak, total_store):
         pages_path = f"/tmp/graft_pages_{n_docs}"
         write_pages_parquet(pages_path, n_docs, shard_rows=100_000)
 
-        from geotrellis_ray.functions.hashing import sha256_prefix64_column
         from geotrellis_ray.stages.dedup import (
             exact_substring_spans,
             line_frequency_filter,
             paragraph_dedup,
         )
-
-        def with_id(b: pa.Table) -> pa.Table:
-            # paragraph/line dedup pack (doc_id, position) into ONE int64
-            # (dedup._check_packable_ids): ids must stay < 2^43, so keep the
-            # hash's top 42 bits. Deterministic; ~0.5 expected collisions at
-            # 2M docs (birthday, 2^43 space) — harmless for the rehearsal's
-            # structural constants.
-            h = sha256_prefix64_column(b["url"]) >> np.uint64(22)
-            return pa.table({"doc_id": pa.array(h.astype(np.int64), pa.int64()),
-                             "text": b["text"]})
-
-        def plant_dups(b: pa.Table) -> pa.Table:
-            # ~1% planted full-text duplicates (id offset inside the 43-bit
-            # budget) so every op's duplicate path carries rows at scale
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            sel = np.nonzero(ids % 100 == 0)[0]
-            return pa.table({
-                "doc_id": pa.array(ids[sel] ^ np.int64(1 << 42), pa.int64()),
-                "text": b["text"].take(pa.array(sel, pa.int64())),
-            })
-
-        def corpus():
-            docs = ray.data.read_parquet(pages_path, columns=["url", "text"]).map_batches(
-                with_id, batch_format="pyarrow", zero_copy_batch=True)
-            return docs.union(docs.map_batches(
-                plant_dups, batch_format="pyarrow", zero_copy_batch=True))
 
         n_total = int(n_docs * 1.01)
         out = {"metric": f"text-dedup rehearsal at {n_docs} docs", "unit": "sec",
@@ -775,7 +773,7 @@ def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
         # key="hash": the 8-byte-key scale path (key="text" is the
         # SQL-oracle variant used by the driver harness at sf0.01)
         t0 = time.monotonic()
-        n_para = paragraph_dedup(corpus(), key="hash").count()
+        n_para = paragraph_dedup(_hashed_corpus(pages_path), key="hash").count()
         w = time.monotonic() - t0
         out["paragraph_dedup"] = {
             "sec": round(w, 2), "docs_out": int(n_para),
@@ -783,7 +781,7 @@ def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
             "peak_frac_after": round(peak["used"] / total_store, 4) if total_store else None}
 
         t0 = time.monotonic()
-        n_line = line_frequency_filter(corpus(), key="hash").count()
+        n_line = line_frequency_filter(_hashed_corpus(pages_path), key="hash").count()
         w = time.monotonic() - t0
         out["line_frequency_filter"] = {
             "sec": round(w, 2), "docs_out": int(n_line),
@@ -793,7 +791,7 @@ def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
         # hash-gram scale path (key="text" is the SQL-oracle variant; the
         # 8-byte-hash shuffle is what a 100 TB corpus would run)
         t0 = time.monotonic()
-        n_spans = exact_substring_spans(corpus(), key="hash").count()
+        n_spans = exact_substring_spans(_hashed_corpus(pages_path), key="hash").count()
         w = time.monotonic() - t0
         out["exact_substring_spans"] = {
             "sec": round(w, 2), "span_rows": int(n_spans),
@@ -805,10 +803,6 @@ def run_text_rehearsal(n_docs: int, num_cpus: int) -> dict:
         out["object_store_peak_frac"] = (
             round(peak["used"] / total_store, 4) if total_store else None)
         return out
-    finally:
-        stop.set()
-        t.join(timeout=2)
-        ray.shutdown()
 
 
 def run_curation_rehearsal(n_docs: int, num_cpus: int) -> dict:
@@ -817,53 +811,17 @@ def run_curation_rehearsal(n_docs: int, num_cpus: int) -> dict:
     one dedup shuffle of slim (hash, packed-int) rows + one packing sort.
     Structural constants (docs out, total tokens, shard count) are
     load-independent rerun anchors."""
-    import threading
-
-    import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from geotrellis_ray.fixtures import write_pages_parquet
 
-    _init_ray(num_cpus)
-    peak = {"used": 0.0}
-    total_store = ray.cluster_resources().get("object_store_memory", 0.0)
-    stop = threading.Event()
-
-    def sampler():
-        while not stop.wait(0.25):
-            avail = ray.available_resources().get("object_store_memory", total_store)
-            peak["used"] = max(peak["used"], total_store - avail)
-
-    t = threading.Thread(target=sampler, daemon=True)
-    t.start()
-    try:
+    with _rehearsal_session(num_cpus) as (peak, total_store):
         pages_path = f"/tmp/graft_pages_{n_docs}"
         write_pages_parquet(pages_path, n_docs, shard_rows=100_000)
 
-        from geotrellis_ray.functions.hashing import sha256_prefix64_column
         from geotrellis_ray.pipelines.curation import curation_chain
 
-        def with_id(b: pa.Table) -> pa.Table:
-            # curation packs doc_id<<20|n_tokens: ids must stay < 2^43 —
-            # same 42-bit hash id + dup-marker bit as the text rehearsal
-            h = sha256_prefix64_column(b["url"]) >> np.uint64(22)
-            return pa.table({"doc_id": pa.array(h.astype(np.int64), pa.int64()),
-                             "text": b["text"]})
-
-        def plant_dups(b: pa.Table) -> pa.Table:
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            sel = np.nonzero(ids % 100 == 0)[0]
-            return pa.table({
-                "doc_id": pa.array(ids[sel] ^ np.int64(1 << 42), pa.int64()),
-                "text": b["text"].take(pa.array(sel, pa.int64())),
-            })
-
-        docs = ray.data.read_parquet(pages_path, columns=["url", "text"]).map_batches(
-            with_id, batch_format="pyarrow", zero_copy_batch=True)
-        corpus = docs.union(docs.map_batches(
-            plant_dups, batch_format="pyarrow", zero_copy_batch=True))
+        corpus = _hashed_corpus(pages_path)
         n_total = int(n_docs * 1.01)
 
         t0 = time.monotonic()
@@ -889,10 +847,6 @@ def run_curation_rehearsal(n_docs: int, num_cpus: int) -> dict:
             "object_store_peak_frac": (
                 round(peak["used"] / total_store, 4) if total_store else None),
         }
-    finally:
-        stop.set()
-        t.join(timeout=2)
-        ray.shutdown()
 
 
 def main(argv=None) -> int:

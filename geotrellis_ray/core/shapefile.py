@@ -87,16 +87,18 @@ def _geom_record(geom: dict, shape_type: int) -> bytes:
 
 def _dbf_field_spec(name: str, values: list):
     if all(isinstance(v, (int, np.integer)) for v in values):
-        width = max(1, max(len(str(int(v))) for v in values) if values else 1)
-        return (name, "N", min(width, 18), 0,
-                [str(int(v)).rjust(min(width, 18)) for v in values])
-    if all(isinstance(v, (int, float, np.floating, np.integer)) for v in values):
-        enc = [repr(float(v)) for v in values]
-        width = max(1, max(len(e) for e in enc) if enc else 1)
-        return (name, "F", min(width, 20), 11, [e.rjust(min(width, 20)) for e in enc])
-    enc = [str(v) for v in values]
-    width = max(1, max(len(e.encode("ascii", "replace")) for e in enc) if enc else 1)
-    return (name, "C", min(width, 254), 0, [e.ljust(min(width, 254)) for e in enc])
+        kind, cap, dec, enc = "N", 18, 0, [str(int(v)) for v in values]
+    elif all(isinstance(v, (int, float, np.floating, np.integer)) for v in values):
+        kind, cap, dec, enc = "F", 20, 11, [repr(float(v)) for v in values]
+    else:
+        kind, cap, dec, enc = "C", 254, 0, [str(v) for v in values]
+    width = max([1] + [len(e.encode("ascii", "replace")) for e in enc])
+    if width > cap:
+        # a wider value would shift every later field and record
+        raise ValueError(f"dbf field {name!r}: a value needs {width} characters, "
+                         f"over the {cap}-character cap of a {kind} field")
+    pad = str.ljust if kind == "C" else str.rjust
+    return (name, kind, width, dec, [pad(e, width) for e in enc])
 
 
 def write_shapefile(base: str, geoms: list[dict],

@@ -55,6 +55,29 @@ def hash_values(values) -> np.ndarray:
     return pd.util.hash_array(arr if arr.dtype == object else arr.astype(object))
 
 
+def hll_registers(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """64-bit hashes -> (register index, rank): the top ``p`` bits pick the
+    register; the rank is the leading zeros of the remaining 64-p bits + 1."""
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    w = (h << np.uint64(p)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    rho = (64 - p) - _bit_length_u64(w >> np.uint64(p)) + 1
+    return idx, rho.astype(np.uint8)
+
+
+def hll_estimate(p: int, inv_sum, zeros):
+    """HyperLogLog cardinality of 2^p registers from the sum of 2^-register
+    over all of them (``inv_sum``) and the count of zero registers, with the
+    small-range linear-counting correction. Scalars or arrays (one estimate
+    per sketch)."""
+    m = float(1 << p)
+    alpha = 0.7213 / (1.0 + 1.079 / m)  # standard large-m constant
+    E = alpha * m * m / np.asarray(inv_sum, dtype=np.float64)
+    zeros = np.asarray(zeros)
+    with np.errstate(divide="ignore"):
+        linear = m * np.log(m / np.maximum(zeros, 1))
+    return np.where((E <= 2.5 * m) & (zeros > 0), linear, E)
+
+
 class HyperLogLog:
     """p-bit register index (m = 2^p registers), 64-bit hashes. Default
     p=12: 4096 one-byte registers, ~1.6% standard error."""
@@ -70,11 +93,8 @@ class HyperLogLog:
     def update_hashes(self, h: np.ndarray) -> "HyperLogLog":
         if len(h) == 0:
             return self
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        w = (h << np.uint64(self.p)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        # rank = leading zeros of the remaining 64-p bits + 1
-        rho = (64 - self.p) - _bit_length_u64(w >> np.uint64(self.p)) + 1
-        np.maximum.at(self.reg, idx, rho.astype(np.uint8))
+        idx, rho = hll_registers(h, self.p)
+        np.maximum.at(self.reg, idx, rho)
         return self
 
     def update(self, values) -> "HyperLogLog":
@@ -87,14 +107,8 @@ class HyperLogLog:
         return self
 
     def estimate(self) -> float:
-        m = float(self.m)
-        alpha = 0.7213 / (1.0 + 1.079 / m)  # standard large-m constant
-        E = alpha * m * m / np.sum(np.exp2(-self.reg.astype(np.float64)))
-        if E <= 2.5 * m:
-            zeros = int(np.count_nonzero(self.reg == 0))
-            if zeros:
-                return float(m * np.log(m / zeros))  # linear counting
-        return float(E)
+        return float(hll_estimate(self.p, np.sum(np.ldexp(1.0, -self.reg.astype(np.int64))),
+                                  np.count_nonzero(self.reg == 0)))
 
     def to_dict(self) -> dict:
         return {"p": self.p,

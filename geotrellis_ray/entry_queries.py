@@ -5399,7 +5399,7 @@ SQL_SCRIPT_STATS = """
 def q_distinct_users_by_type(sf_dir: str):
     """Grouped approx COUNT(DISTINCT)
     (stages/stats.py:approx_distinct_by): distinct user_id per event_type
-    via one HLL sketch per (key, block), sketch-row shuffle only.
+    via per-key HyperLogLog registers merged by two partial_groupby passes.
     SQL-CHECKED (round-4 late conversion): per-group cardinality (<= 150
     users) forces the linear-counting branch m*ln(m/zeros), whose only
     transcendental is one ln — the oracle replays the splitmix64 registers

@@ -56,12 +56,13 @@ def _empty_input(ds) -> pa.Table:
 def _typed_map(ds, fn):
     """``ds.map_batches(fn)`` over Arrow batches that stays typed when ``ds``
     has no rows: Ray 2.49's map skips empty blocks, so its output would have
-    no schema for a later merge to read."""
+    no schema for a later merge to read. An input with neither rows nor a
+    schema (``limit(0)``) comes back as it is."""
     import ray.data as rd
 
     ds = ds.materialize()
     if ds.count() == 0:
-        return rd.from_arrow(fn(_empty_input(ds)))
+        return rd.from_arrow(fn(_empty_input(ds))) if ds.schema() is not None else ds
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 

@@ -160,30 +160,33 @@ def embedding_near_dups(ds, threshold: float = 0.95, nbits: int = 12, id_col: st
         withb = add_lsh_bucket_batch(batch, planes_holder[0], emb_col)
         return withb.select([id_col, emb_col, "lsh_bucket"])
 
-    def bucket_pairs(g: pd.DataFrame, cap: int = 4096) -> pd.DataFrame:
+    def bucket_pairs(g: pa.Table, cap: int = 4096) -> pa.Table:
         """ALL pairs within the bucket (one matmul) — a pair detector must not
         miss pairs separated by unrelated ids, unlike dedup's chained pairing
         which only needs connectivity. Buckets above ``cap`` rows fall back to
         sorted-adjacent chaining (quadratic guard for degenerate buckets)."""
-        g = g.sort_values(id_col, kind="stable")
-        if len(g) < 2:
-            return pd.DataFrame({"id_a": [], "id_b": [], "cosine": []})
-        m = _normalize(np.stack([np.asarray(e, dtype=np.float32) for e in g[emb_col]]))
+        g = g.sort_by(id_col)
+        id_t = g.schema.field(id_col).type
+        if g.num_rows < 2:
+            return pa.table({"id_a": pa.array([], id_t), "id_b": pa.array([], id_t),
+                             "cosine": pa.array([], pa.float64())})
+        m = _normalize(_batch_matrix(g, emb_col))
         ids = g[id_col].to_numpy()
-        if len(g) <= cap:
+        if g.num_rows <= cap:
             sim = m @ m.T
             ia, ib = np.nonzero(np.triu(sim >= threshold, k=1))
-            return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib],
-                                 "cosine": sim[ia, ib].astype(np.float64)})
-        cos = (m[:-1] * m[1:]).sum(axis=1)
-        keep = cos >= threshold
-        return pd.DataFrame({"id_a": ids[:-1][keep], "id_b": ids[1:][keep],
-                             "cosine": cos[keep].astype(np.float64)})
+            cos = sim[ia, ib]
+        else:
+            cos = (m[:-1] * m[1:]).sum(axis=1)
+            ia = np.flatnonzero(cos >= threshold)
+            ib, cos = ia + 1, cos[ia]
+        return pa.table({"id_a": pa.array(ids[ia], id_t), "id_b": pa.array(ids[ib], id_t),
+                         "cosine": pa.array(cos, pa.float64())})
 
     return (
         ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("lsh_bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+        .map_groups(bucket_pairs, batch_format="pyarrow")
     )
 
 
@@ -375,13 +378,12 @@ def semantic_dedup(ds, threshold: float = 0.97, n_centroids: int = 16,
             lambda b: b.append_column("sub", pa.array(np.zeros(b.num_rows, np.int64), pa.int64())),
             batch_format="pyarrow", zero_copy_batch=True)
 
-    def dedup_cluster(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="stable").reset_index(drop=True)
-        m = _normalize(np.stack(
-            [np.asarray(v, dtype=np.float32) for v in g[emb_col]]))
-        keep = np.ones(len(g), dtype=bool)
+    def dedup_cluster(g: pa.Table) -> pa.Table:
+        g = g.sort_by(id_col)
+        m = _normalize(_batch_matrix(g, emb_col))
+        keep = np.ones(g.num_rows, dtype=bool)
         keepers = np.empty((0, m.shape[1]), dtype=np.float32)
-        for lo in range(0, len(g), cap):
+        for lo in range(0, g.num_rows, cap):
             chunk = m[lo:lo + cap]
             sim_prev = (chunk @ keepers.T) if len(keepers) else None
             sim_self = chunk @ chunk.T
@@ -393,13 +395,10 @@ def semantic_dedup(ds, threshold: float = 0.97, n_centroids: int = 16,
                     dup = len(j) > 0
                 keep[lo + i] = not dup
             keepers = np.vstack([keepers, chunk[keep[lo:lo + cap]]])
-        return pd.DataFrame({
-            id_col: g[id_col], "cluster": g["cluster"],
-            "keep": keep,
-        })
+        return pa.table({id_col: g[id_col], "cluster": g["cluster"], "keep": keep})
 
     return assigned.groupby(["cluster", "sub"]).map_groups(
-        dedup_cluster, batch_format="pandas")
+        dedup_cluster, batch_format="pyarrow")
 
 
 # --- Product Quantization (round 3) ------------------------------------------

@@ -15,7 +15,6 @@ ever reaches the driver.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 __all__ = ["eps_neighbor_pairs", "cluster_eps"]
@@ -49,25 +48,21 @@ def eps_neighbor_pairs(ds, eps: float, id_col: str = "pt_id",
             "own": pa.array(np.concatenate(out_own), pa.bool_()),
         })
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        own = g[g["own"]]
-        if len(own) == 0 or len(g) < 2:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        oi = own[id_col].to_numpy()
-        ox = own[x_col].to_numpy()
-        oy = own[y_col].to_numpy()
-        ai = g[id_col].to_numpy()
-        axx = g[x_col].to_numpy()
-        ayy = g[y_col].to_numpy()
+    def bucket_pairs(g: pa.Table) -> pa.Table:
+        own = g.filter(g["own"])
+        id_t = g.schema.field(id_col).type
+        if own.num_rows == 0 or g.num_rows < 2:
+            return pa.table({"id_a": pa.array([], id_t), "id_b": pa.array([], id_t)})
+        oi, ox, oy = (own[c].to_numpy() for c in (id_col, x_col, y_col))
+        ai, axx, ayy = (g[c].to_numpy() for c in (id_col, x_col, y_col))
         d2 = (ox[:, None] - axx[None, :]) ** 2 + (oy[:, None] - ayy[None, :]) ** 2
         hit = (d2 <= eps * eps) & (oi[:, None] < ai[None, :])
         ii, jj = np.nonzero(hit)
-        return pd.DataFrame({"id_a": oi[ii], "id_b": ai[jj]})
+        return pa.table({"id_a": pa.array(oi[ii], id_t), "id_b": pa.array(ai[jj], id_t)})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     pairs = exploded.groupby(["cell_x", "cell_y"]).map_groups(
-        bucket_pairs, batch_format="pandas")
+        bucket_pairs, batch_format="pyarrow")
     # a pair can surface from up to 3 shared buckets: grouped-first dedup
     from .agg import partial_groupby
 

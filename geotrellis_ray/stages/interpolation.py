@@ -29,6 +29,7 @@ import pyarrow as pa
 from ..core.layout import LayoutDefinition
 from ..core.raster import cell_centers, encode_tile
 from ..core.sfc import zorder
+from ._arrow_groups import one_tile
 
 
 def _kernel_weights(kernel: str, radius: int) -> np.ndarray:
@@ -105,13 +106,14 @@ def kernel_density(ds, layout: LayoutDefinition, radius: int = 8,
             "w": pa.array(np.concatenate(parts["w"]), pa.float64()),
         })
 
-    def paint(g: pd.DataFrame) -> pd.DataFrame:
-        kc = int(g["key_col"].iloc[0])
-        kr = int(g["key_row"].iloc[0])
+    def paint(g: pa.Table) -> pa.Table:
+        kc = g["key_col"][0].as_py()
+        kr = g["key_row"][0].as_py()
         tile = np.zeros((tr, tc))
         x0, y0 = kc * tc, kr * tr  # tile origin in global cell coords
         # deterministic stamp order regardless of shuffle arrival order
-        g = g.sort_values(["gcy", "gcx"], kind="stable")
+        # (sort_by is stable)
+        g = g.sort_by([("gcy", "ascending"), ("gcx", "ascending")])
         for gx, gy, w in zip(g["gcx"].to_numpy(), g["gcy"].to_numpy(),
                              g["w"].to_numpy()):
             cx, cy = int(gx - x0), int(gy - y0)  # stamp centre, tile-local
@@ -124,15 +126,11 @@ def kernel_density(ds, layout: LayoutDefinition, radius: int = 8,
                 continue
             tile[tr0:tr1, tc0:tc1] += w * kern[kr0:kr0 + (tr1 - tr0),
                                                kc0:kc0 + (tc1 - tc0)]
-        cells, cols_, rows_, ct = encode_tile(tile)
-        return pd.DataFrame({
-            "key_col": [kc], "key_row": [kr], "sfc": [int(zorder(kc, kr))],
-            "cells": [cells], "cols": [cols_], "rows": [rows_], "cell_type": [ct],
-        })
+        return one_tile(kc, kr, *encode_tile(tile))
 
     exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     return exploded.groupby(["key_col", "key_row"]).map_groups(
-        paint, batch_format="pandas")
+        paint, batch_format="pyarrow")
 
 
 def _keys_dataset(layout: LayoutDefinition, key_bounds):

@@ -554,63 +554,43 @@ def jenks_breaks(values_ds, value_col: str, k: int, max_bins: int = 4096):
 
 
 def approx_distinct_by(ds, key_col: str, value_col: str, p: int = 12):
-    """Grouped COUNT(DISTINCT) at corpus scale: one HyperLogLog per
-    (key, block) built map-side (values hash once, registers are ~2^p
-    bytes), then ONE groupby(key) shuffle of sketch rows — never the value
-    stream — with a register-max merge per group. Key cardinality bounds
-    the shuffle (thousands of keys x #blocks sketch rows). Returns a
-    Dataset (key_col, approx_distinct)."""
-    import json
+    """Grouped COUNT(DISTINCT) at corpus scale: a HyperLogLog per key,
+    built from two partial_groupby passes. Each row maps to (key, register,
+    rank) with the hash and register math of ``HyperLogLog.update_hashes``.
+    The first pass keeps the max rank per (register, key) -- the sketch's
+    register merge, so the final merge sees at most 2^p rows per key and
+    block. The second sums 2^-rank and counts the registers present per key
+    (zero registers = 2^p - count), and ``hll_estimate`` gives the answer.
+    Null keys form one group. Returns a Dataset (key_col, approx_distinct)
+    with each key's estimate equal to a HyperLogLog(p) over its values."""
+    from ..core.sketch import hll_estimate, hll_registers, hash_values
+    from .agg import _typed_map, partial_groupby
 
-    import pandas as pd
+    def registers(batch: pa.Table) -> pa.Table:
+        idx, rho = hll_registers(hash_values(_values_from_batch(batch, value_col)), p)
+        return pa.table({key_col: batch[key_col], "reg": pa.array(idx, pa.int32()),
+                         "rho": pa.array(rho, pa.uint8())})
 
-    from ..core.sketch import HyperLogLog, hash_values
+    def powers(batch: pa.Table) -> pa.Table:
+        # every term is a power of two and the per-key total is at most 2^p,
+        # so while rho <= 52 - p the sum is exact in a double: every
+        # summation order (and the sketch's own np.sum) gives the same value
+        rho = batch["rho"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({key_col: batch[key_col], "inv": np.ldexp(1.0, -rho)})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        keys_np = np.asarray(batch[key_col].to_numpy(zero_copy_only=False))
-        h = hash_values(_values_from_batch(batch, value_col))
-        order = np.argsort(keys_np, kind="stable")
-        keys_s, h_s = keys_np[order], h[order]
-        bounds = np.flatnonzero(np.concatenate([[True], keys_s[1:] != keys_s[:-1]]))
-        out_k, out_s = [], []
-        for i, start in enumerate(bounds):
-            end = bounds[i + 1] if i + 1 < len(bounds) else len(keys_s)
-            hll = HyperLogLog(p).update_hashes(h_s[start:end])
-            out_k.append(keys_s[start])
-            out_s.append(json.dumps(hll.to_dict()))
-        return pa.table({key_col: pa.array(out_k),
-                         "sketch": pa.array(out_s, pa.string())})
+    def estimate(batch: pa.Table) -> pa.Table:
+        n_reg = batch["n_reg"].to_numpy(zero_copy_only=False)
+        zeros = (1 << p) - n_reg
+        inv_sum = batch["inv_sum"].to_numpy(zero_copy_only=False) + zeros
+        return pa.table({key_col: batch[key_col],
+                         "approx_distinct": pa.array(hll_estimate(p, inv_sum, zeros), pa.float64())})
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        hll = HyperLogLog(p)
-        for s in g["sketch"]:
-            hll.merge(HyperLogLog.from_dict(json.loads(s)))
-        return pd.DataFrame({key_col: [g[key_col].iloc[0]],
-                             "approx_distinct": [float(hll.estimate())]})
-
-    def combine(batch: pa.Table) -> pa.Table:
-        # map-side combine of same-key sketches BEFORE the shuffle: at
-        # 100 TB (~10^6 blocks x ~10^3 keys x ~KB registers) the raw
-        # (key, block) sketch stream is TBs; one large-batch merge round
-        # cuts it by ~batch_size/keys with no semantic change (register
-        # max is associative).
-        keys_np = np.asarray(batch[key_col].to_numpy(zero_copy_only=False))
-        order = np.argsort(keys_np, kind="stable")
-        keys_s = keys_np[order]
-        sk = np.asarray(batch["sketch"].to_pylist(), dtype=object)[order]
-        bounds = np.flatnonzero(np.concatenate([[True], keys_s[1:] != keys_s[:-1]]))
-        out_k, out_s = [], []
-        for i, start in enumerate(bounds):
-            end = bounds[i + 1] if i + 1 < len(bounds) else len(keys_s)
-            hll = HyperLogLog(p)
-            for s in sk[start:end]:
-                hll.merge(HyperLogLog.from_dict(json.loads(s)))
-            out_k.append(keys_s[start])
-            out_s.append(json.dumps(hll.to_dict()))
-        return pa.table({key_col: pa.array(out_k),
-                         "sketch": pa.array(out_s, pa.string())})
-
-    sketches = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    sketches = sketches.map_batches(combine, batch_format="pyarrow",
-                                    zero_copy_batch=True, batch_size=4096)
-    return sketches.groupby(key_col).map_groups(merge_group, batch_format="pandas")
+    # key last: pyarrow 16's group_by splits groups when a string key with
+    # nulls precedes a fixed-width key
+    regs = _typed_map(ds, registers)
+    if regs.schema() is None:  # no rows and no schema to type an answer with
+        return regs
+    regs = partial_groupby(regs, ["reg", key_col], [("rho", "max", "rho")])
+    sums = partial_groupby(_typed_map(regs, powers), [key_col],
+                           [("inv", "sum", "inv_sum"), ("inv", "count", "n_reg")])
+    return _typed_map(sums, estimate)

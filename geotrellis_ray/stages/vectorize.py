@@ -29,7 +29,6 @@ deep zoom would need a hierarchical stitch — documented, not needed here).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core import wkb
@@ -141,9 +140,8 @@ def vectorize(labeled_ds, layout: LayoutDefinition):
         lambda b: _extract_edges(b, tl.tile_cols, tl.tile_rows),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        rings = assemble_rings(g["x0"].to_numpy(), g["y0"].to_numpy(),
-                               g["x1"].to_numpy(), g["y1"].to_numpy())
+    def assemble(g: pa.Table) -> pa.Table:
+        rings = assemble_rings(*(g[c].to_numpy() for c in ("x0", "y0", "x1", "y1")))
         shells, holes = [], []
         for r in rings:
             (shells if _signed_area(r) > 0 else holes).append(r)
@@ -158,9 +156,9 @@ def vectorize(labeled_ds, layout: LayoutDefinition):
         area = sum(abs(_signed_area(r)) for r in shells) * cw * ch \
             - sum(abs(_signed_area(r)) for r in holes) * cw * ch
         geom = {"type": "Polygon", "rings": world}
-        return pd.DataFrame({"lab": [int(g["lab"].iloc[0])],
-                             "wkb": [wkb.encode(geom)],
-                             "area": [float(area)],
-                             "n_holes": [len(holes)]})
+        return pa.table({"lab": pa.array([g["lab"][0].as_py()], pa.int64()),
+                         "wkb": pa.array([wkb.encode(geom)], pa.binary()),
+                         "area": pa.array([float(area)], pa.float64()),
+                         "n_holes": pa.array([len(holes)], pa.int64())})
 
-    return edges.groupby("lab").map_groups(assemble, batch_format="pandas")
+    return edges.groupby("lab").map_groups(assemble, batch_format="pyarrow")

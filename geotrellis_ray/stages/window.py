@@ -21,7 +21,20 @@ counterpart — the reference's temporal layers only bin by key, SURVEY.md
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+
+from .agg import _group_starts, _range_sort
+
+# the driver stitch's "no block seen yet": None is a partition key value
+_NO_PART = object()
+
+
+def _same_part(a, b):
+    """Partition-key equality of the driver stitch (scalars or object
+    arrays), null equal to null as in SQL PARTITION BY. After the pandas
+    conversion a null key is None (string) or NaN (numeric)."""
+    return (a == b) | (pd.isna(a) & pd.isna(b))
 
 
 def explode_windows_batch(batch: pa.Table, ts_col: str, span_us: int, slide_us: int,
@@ -78,12 +91,11 @@ def _block_lag(batch: pa.Table, part_col: str, ts_col: str, id_col: str,
     })
     if n == 0:
         return empty
-    part = batch[part_col].to_numpy(zero_copy_only=False)
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     ts = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
     vals = batch[value_col].to_numpy(zero_copy_only=False)
     shifted = np.empty_like(vals)
-    same = part[1:] == part[:-1]
+    same = ~_group_starts(batch, [part_col])[1:]
     if lead:
         shifted[-1] = sentinel
         shifted[:-1] = np.where(same, vals[1:], sentinel)
@@ -133,12 +145,9 @@ def as_of_next(ds, part_col: str, ts_col: str, id_col: str, value_col: str,
 
 def _as_of(ds, part_col: str, ts_col: str, id_col: str, value_col: str,
            sentinel, lead: bool):
-    import pandas as pd
-    import ray.data
-
     prev_col = ("next_" if lead else "prev_") + value_col
     mixed = (
-        ds.sort([part_col, ts_col, id_col])
+        _range_sort(ds, [(part_col, "ascending"), (ts_col, "ascending"), (id_col, "ascending")])
         .map_batches(lambda b: _block_lag(b, part_col, ts_col, id_col, value_col,
                                           sentinel, lead),
                      batch_format="pyarrow", zero_copy_batch=True)
@@ -155,7 +164,7 @@ def _as_of(ds, part_col: str, ts_col: str, id_col: str, value_col: str,
             # block's LAST row when both share the partition value; in lead
             # mode the previous block's LAST row is followed by this
             # block's FIRST row
-            if b["__blk"] != a["__blk"] and b[part_col] == a[part_col]:
+            if b["__blk"] != a["__blk"] and _same_part(b[part_col], a[part_col]):
                 if lead:
                     patches[a[id_col]] = b["__val"]
                 else:
@@ -206,16 +215,12 @@ def _block_sessions(batch: pa.Table, part_col: str, ts_col: str, id_col: str,
             "session_no": pa.array([], pa.int64()),
             "__blk": pa.array([], pa.int64()),
         })
-    part = batch[part_col].to_numpy(zero_copy_only=False)
     ts = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
     ids = batch[id_col].to_numpy(zero_copy_only=False)
-    new = np.ones(n, dtype=bool)
-    same = part[1:] == part[:-1]
-    new[1:] = ~same | (ts[1:] - ts[:-1] > gap_us)
+    seg_first = _group_starts(batch, [part_col])
+    new = seg_first.copy()
+    new[1:] |= ts[1:] - ts[:-1] > gap_us
     cs = np.cumsum(new)
-    seg_first = np.zeros(n, dtype=bool)
-    seg_first[0] = True
-    seg_first[1:] = ~same
     seg_start = np.maximum.accumulate(np.where(seg_first, np.arange(n), 0))
     session_no = cs - cs[seg_start] + 1  # per-partition, 1-based
     blk = np.full(n, int(ids[0]), dtype=np.int64)  # ids are globally unique
@@ -229,7 +234,7 @@ def _block_sessions(batch: pa.Table, part_col: str, ts_col: str, id_col: str,
     })
     # first-row edge carries the FIRST segment's session count; last-row edge
     # the LAST segment's (equal when the block holds a single partition)
-    first_seg_end = int(np.argmax(~(part == part[0]))) - 1 if (part != part[0]).any() else n - 1
+    first_seg_end = int(np.argmax(seg_first[1:])) if seg_first[1:].any() else n - 1
     edge_idx = [0, n - 1]
     edge_cnt = [int(session_no[first_seg_end]), int(session_no[n - 1])]
     edges = pa.table({
@@ -258,7 +263,7 @@ def sessionize(ds, part_col: str = "user_id", ts_col: str = "ts",
     additive patch per block whose first segment continues a neighbor —
     the same O(#blocks) stitch as as_of_prev / the LSH candidate sort."""
     mixed = (
-        ds.sort([part_col, ts_col, id_col])
+        _range_sort(ds, [(part_col, "ascending"), (ts_col, "ascending"), (id_col, "ascending")])
         .map_batches(lambda b: _block_sessions(b, part_col, ts_col, id_col, gap_us),
                      batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
@@ -271,17 +276,17 @@ def sessionize(ds, part_col: str = "user_id", ts_col: str = "ts",
         firsts = edges[edges["kind"] == 1].set_index("__blk")
         lasts = edges[edges["kind"] == 2].set_index("__blk")
         order = firsts.sort_values([part_col, "__ts", id_col], kind="stable").index
-        carry_part, carry_total, carry_ts = None, 0, 0
+        carry_part, carry_total, carry_ts = _NO_PART, 0, 0
         for blk in order:
             f, l = firsts.loc[blk], lasts.loc[blk]
             delta = 0
-            if carry_part is not None and f[part_col] == carry_part:
+            if carry_part is not _NO_PART and _same_part(f[part_col], carry_part):
                 delta = carry_total
                 if f["__ts"] - carry_ts <= gap_us:
                     delta -= 1  # block-first row continues the open session
                 if delta:
                     patches[int(blk)] = (f[part_col], int(delta))
-            if l[part_col] == f[part_col]:
+            if _same_part(l[part_col], f[part_col]):
                 carry_total = int(l["session_no"]) + delta
             else:
                 carry_total = int(l["session_no"])
@@ -298,7 +303,7 @@ def sessionize(ds, part_col: str = "user_id", ts_col: str = "ts",
             sess = b["session_no"].to_numpy(zero_copy_only=False).copy()
             pos = np.searchsorted(pb, blks)
             pos_c = np.clip(pos, 0, len(pb) - 1)
-            hit = (pb[pos_c] == blks) & (pp[pos_c] == parts)
+            hit = (pb[pos_c] == blks) & _same_part(pp[pos_c], parts)
             sess[hit] += pd_[pos_c[hit]]
             return pa.table({id_col: b[id_col], part_col: b[part_col],
                              "session_no": pa.array(sess, pa.int64())})
@@ -331,19 +336,16 @@ def _block_ranks(batch: pa.Table, part_col: str, ord_col: str, id_col: str,
             "rsum": pa.array([], pa.int64()),
             "__blk": pa.array([], pa.int64()),
         })
-    part = batch[part_col].to_numpy(zero_copy_only=False)
     ordv = batch[ord_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     val = (batch[val_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
            if val_col else np.zeros(n, dtype=np.int64))
     idx = np.arange(n, dtype=np.int64)
-    same = part[1:] == part[:-1]
-    seg_first = np.ones(n, dtype=bool)
-    seg_first[1:] = ~same
+    seg_first = _group_starts(batch, [part_col])
     seg_start = np.maximum.accumulate(np.where(seg_first, idx, 0))
     rn = idx - seg_start + 1
-    new_val = np.ones(n, dtype=bool)
-    new_val[1:] = ~same | (ordv[1:] != ordv[:-1])
+    new_val = seg_first.copy()
+    new_val[1:] |= ordv[1:] != ordv[:-1]
     cs_val = np.cumsum(new_val)
     drnk = cs_val - cs_val[seg_start] + 1
     grp_start = np.maximum.accumulate(np.where(new_val, idx, 0))
@@ -401,7 +403,7 @@ def window_rank(ds, part_col: str, ord_col: str, id_col: str,
     overridden to G. Same O(#blocks) side-channel pattern as sessionize /
     as_of_prev — the driver never sees a data row."""
     mixed = (
-        ds.sort([part_col, ord_col, id_col])
+        _range_sort(ds, [(part_col, "ascending"), (ord_col, "ascending"), (id_col, "ascending")])
         .map_batches(lambda b: _block_ranks(b, part_col, ord_col, id_col, val_col),
                      batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
@@ -418,12 +420,12 @@ def window_rank(ds, part_col: str, ord_col: str, id_col: str,
         carry = None  # (part, R, D, last_ord, G, S)
         for blk in order:
             f, l = firsts.loc[blk], lasts.loc[blk]
-            if carry is not None and f[part_col] == carry[0]:
+            if carry is not None and _same_part(f[part_col], carry[0]):
                 _, R, D, c_ord, G, S = carry
                 tie = int(f["__ord"]) == c_ord
                 patches[int(blk)] = (f[part_col], R, D - 1 if tie else D, S,
                                      G if tie else -1)
-                if l[part_col] == f[part_col]:  # single-segment continuation
+                if _same_part(l[part_col], f[part_col]):  # single-segment continuation
                     new_g = G if (int(l["rnk"]) == 1 and tie) else int(l["rnk"]) + R
                     carry = (f[part_col], R + int(l["rn"]),
                              D + int(l["drnk"]) - (1 if tie else 0),
@@ -454,7 +456,7 @@ def window_rank(ds, part_col: str, ord_col: str, id_col: str,
             rsum = b["rsum"].to_numpy(zero_copy_only=False).copy()
             pos = np.searchsorted(pb, blks)
             pos_c = np.clip(pos, 0, len(pb) - 1)
-            hit = (pb[pos_c] == blks) & (pp[pos_c] == parts)
+            hit = (pb[pos_c] == blks) & _same_part(pp[pos_c], parts)
             # leading tie run detected BEFORE the additive patch
             ghit = hit & (rnk == 1) & (p_gv[pos_c] >= 0)
             rn[hit] += p_rn[pos_c[hit]]

@@ -4,9 +4,9 @@ entry points. This walks the package source and fails on the ways around
 them: a ``partial_groupby(..., final=...)`` call, a
 ``.groupby(...).aggregate(...)`` chain outside stages/agg.py, a
 hand-written ``final_topk`` merge, a ``global_top_k`` copy of keyless
-grouped_top_k, and a ``.sort(`` in stages/agg.py outside ``_range_sort``
-(the null-safe sort) other than the unique-id sorts of the token packers
-and exact_quantiles' sort of one null-free column."""
+grouped_top_k, and a ``.sort(`` in stages/agg.py or stages/window.py
+outside ``_range_sort`` (the null-safe sort) other than the unique-id sorts
+of the token packers and exact_quantiles' sort of one null-free column."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "geotrellis_ray"
 AGG = PKG / "stages" / "agg.py"
+WINDOW = PKG / "stages" / "window.py"
 SORTS_ALLOWED = {"_range_sort", "pack_token_shards", "pack_token_spans", "exact_quantiles"}
 
 
@@ -60,4 +61,5 @@ def test_grouped_finals_go_through_agg():
 
 
 def test_agg_sorts_go_through_range_sort():
-    assert _raw_sorts(AGG) == [], "sort through agg._range_sort (null- and NaN-safe)"
+    assert _raw_sorts(AGG) + _raw_sorts(WINDOW) == [], \
+        "sort through agg._range_sort (null- and NaN-safe)"

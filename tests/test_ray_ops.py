@@ -732,6 +732,78 @@ def test_approx_distinct_by_group(ray_session):
     assert got["c"] == pytest.approx(3.0, rel=1e-2)
 
 
+def test_approx_distinct_by_equals_hyperloglog(ray_session):
+    """Each key's estimate is the one a single HyperLogLog over that key's
+    values gives, ``==``: groups in the linear-counting regime, groups in
+    the raw regime, and a null string key (one group, as in GROUP BY)."""
+    import ray.data
+
+    from geotrellis_ray.core.sketch import HyperLogLog
+    from geotrellis_ray.stages.stats import approx_distinct_by
+
+    p = 8  # m = 256 registers: the raw regime starts near 640 distinct
+    rng = np.random.default_rng(12)
+    sizes = {"tiny": 3, "small": 40, "mid": 300, "big": 5000, "huge": 20000, None: 150}
+    keys, vals = [], []
+    for k, n in sizes.items():
+        v = rng.integers(0, n, 3 * n)
+        keys += [k] * len(v)
+        vals += v.tolist()
+    t = pa.table({"k": pa.array(keys, pa.string()), "v": pa.array(vals, pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(9)
+    got = {r["k"]: r["approx_distinct"] for r in approx_distinct_by(ds, "k", "v", p=p).take_all()}
+    assert set(got) == set(sizes)
+    df = t.to_pandas()
+    regimes = set()
+    for k in sizes:
+        hll = HyperLogLog(p).update(df.loc[(df["k"] == k) if k else df["k"].isna(), "v"].to_numpy())
+        assert got[k] == hll.estimate(), k
+        m = float(hll.m)
+        raw = 0.7213 / (1 + 1.079 / m) * m * m / np.sum(np.exp2(-hll.reg.astype(float)))
+        regimes.add("linear" if raw <= 2.5 * m and (hll.reg == 0).any() else "raw")
+    assert regimes == {"linear", "raw"}
+    # no rows in, no rows out: typed when the input has a schema
+    empty = approx_distinct_by(ds.filter(expr="v < 0"), "k", "v", p=p)
+    assert empty.count() == 0 and empty.schema().names == ["k", "approx_distinct"]
+    assert approx_distinct_by(ds.limit(0), "k", "v", p=p).count() == 0
+
+
+def test_embedding_near_dups_matches_bucket_bruteforce(ray_session):
+    """Every pair inside one LSH bucket with cosine >= threshold, no other:
+    brute force over the same sign-bit buckets, pair by pair."""
+    import ray.data
+
+    from geotrellis_ray.stages.ann import _normalize, embedding_near_dups, hyperplanes, lsh_bucket
+
+    rng = np.random.default_rng(17)
+    d, nbits, threshold = 16, 6, 0.99
+    base = rng.normal(0, 1, (400, d)).astype(np.float32)
+    src = rng.choice(400, 60, replace=False)
+    near = base[src] + 0.02 * rng.normal(0, 1, (60, d)).astype(np.float32)
+    emb = np.vstack([base, near, base[src[:10]]])  # plus 10 exact copies
+    ids = rng.permutation(len(emb)).astype(np.int64) * 3
+    t = pa.table({"vec_id": pa.array(ids, pa.int64()),
+                  "embedding": pa.array([r.tolist() for r in emb], pa.list_(pa.float32()))})
+    got = embedding_near_dups(ray.data.from_arrow(t).repartition(7), threshold=threshold,
+                              nbits=nbits).to_pandas()
+
+    m = _normalize(emb)
+    bucket = lsh_bucket(m, hyperplanes(d, nbits))
+    exp = {}
+    for i in range(len(emb)):
+        for j in range(len(emb)):
+            if ids[i] < ids[j] and bucket[i] == bucket[j]:
+                cos = float(np.dot(m[i].astype(np.float64), m[j].astype(np.float64)))
+                if cos >= threshold:
+                    exp[(int(ids[i]), int(ids[j]))] = cos
+    assert len(exp) >= 50
+    pairs = dict(zip(zip(got["id_a"].tolist(), got["id_b"].tolist()), got["cosine"].tolist()))
+    assert len(pairs) == len(got)
+    assert set(pairs) == set(exp)
+    for key, cos in exp.items():
+        assert pairs[key] == pytest.approx(cos, abs=1e-5)
+
+
 def test_ann_dot_metric_matches_numpy(ray_session):
     """metric='dot' (MIPS): top-k by inner product, descending, id-tie
     ascending — vs a brute numpy oracle on integer-valued embeddings."""

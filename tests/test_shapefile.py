@@ -117,3 +117,23 @@ def test_read_shapefile_source_distributed(ray_session, tmp_path):
     got = sorted((json.loads(r["properties"])["pid"],
                   decode(r["wkb"])["coords"].tolist()) for r in rows)
     assert got == [(0, [0.0, 0.0]), (1, [1.0, 2.0]), (2, [2.0, 4.0])]
+
+
+def test_dbf_value_wider_than_field_cap_raises(tmp_path):
+    """A DBF field holds at most 18 (N), 20 (F) or 254 (C) characters. A
+    wider value written in full would shift every later field and record
+    (a 19-digit id read back as 10**17, its neighbor's digits shifted), so
+    the writer refuses it, naming the field and the width."""
+    from geotrellis_ray.core.shapefile import read_shapefile_pair, write_shapefile
+
+    pts = [{"type": "Point", "coords": [float(i), 0.0]} for i in range(2)]
+    with pytest.raises(ValueError, match=r"'pid'.*19.*18"):
+        write_shapefile(str(tmp_path / "wide_n"), pts,
+                        {"pid": [10**18 + 1, 7], "tag": ["ab", "cd"]})
+    with pytest.raises(ValueError, match=r"'note'.*255.*254"):
+        write_shapefile(str(tmp_path / "wide_c"), pts, {"note": ["x" * 255, "y"]})
+    # at the cap the record layout holds
+    base = str(tmp_path / "at_cap")
+    write_shapefile(base, pts, {"pid": [10**17 + 1, -(10**16)], "tag": ["ab", "cd"]})
+    attrs = [a for _g, a in read_shapefile_pair(base + ".shp")]
+    assert attrs == [{"pid": 10**17 + 1, "tag": "ab"}, {"pid": -(10**16), "tag": "cd"}]

@@ -447,3 +447,62 @@ def test_keep_best_dedup_matches_bruteforce(ray_session):
         "score": pa.array([1], pa.int64())}))
     with pytest.raises(Exception):
         keep_best_dedup(bad, "key", "score", "doc_id").take_all()
+
+
+def _null_key_events(key_type):
+    """400 events over 4 partition values plus ~20% null keys, few distinct
+    order values (rank ties) and ts steps around the session gap."""
+    rng = np.random.default_rng(21)
+    n = 400
+    k = rng.integers(0, 4, n)
+    null = rng.random(n) < 0.2
+    keys = ([f"u{v}" for v in k] if key_type == "string" else k.tolist())
+    return pa.table({
+        "event_id": pa.array(rng.permutation(n), pa.int64()),
+        "part": pa.array([None if z else v for v, z in zip(keys, null)],
+                         pa.string() if key_type == "string" else pa.int64()),
+        "ts": pa.array(rng.choice([0, 500, 999, 1000, 1001, 5000], n).cumsum(), pa.int64()),
+        "ordv": pa.array(rng.integers(0, 5, n), pa.int64()),
+        "v": pa.array(rng.integers(-50, 100, n), pa.int64()),
+    })
+
+
+@pytest.mark.parametrize("key_type", ["string", "int64"])
+def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
+    """A null partition key is one partition, as in SQL PARTITION BY: the
+    range sort must not fail on it and the block pass and driver stitch
+    must not split it (8 blocks, so the null run crosses block edges)."""
+    import duckdb
+
+    from geotrellis_ray.stages.window import as_of_next, sessionize, window_rank
+
+    t = _null_key_events(key_type)
+    ds = ray.data.from_arrow(t).repartition(8)
+    exp = duckdb.sql("""
+        SELECT event_id,
+               row_number() OVER (PARTITION BY part ORDER BY ordv, event_id) AS rn,
+               rank() OVER (PARTITION BY part ORDER BY ordv) AS rnk,
+               dense_rank() OVER (PARTITION BY part ORDER BY ordv) AS drnk,
+               sum(v) OVER (PARTITION BY part ORDER BY ordv, event_id
+                            ROWS UNBOUNDED PRECEDING)::BIGINT AS rsum,
+               coalesce(lag(v) OVER (PARTITION BY part ORDER BY ts, event_id), -999) AS prev_v,
+               coalesce(lead(v) OVER (PARTITION BY part ORDER BY ts, event_id), -999) AS next_v,
+               sum(new) OVER (PARTITION BY part ORDER BY ts, event_id) AS session_no
+        FROM (SELECT *, CASE WHEN ts - lag(ts) OVER (PARTITION BY part ORDER BY ts, event_id)
+                             <= 1000 THEN 0 ELSE 1 END AS new FROM t)
+        ORDER BY event_id""").df()
+
+    def by_id(out):
+        return out.to_pandas().sort_values("event_id").reset_index(drop=True)
+
+    got = by_id(window_rank(ds, "part", "ordv", "event_id", "v"))
+    for c in ("rn", "rnk", "drnk", "rsum"):
+        np.testing.assert_array_equal(got[c].to_numpy(), exp[c].to_numpy(), err_msg=c)
+    got = by_id(as_of_prev(ds, "part", "ts", "event_id", "v", sentinel=-999))
+    np.testing.assert_array_equal(got["prev_v"].to_numpy(), exp["prev_v"].to_numpy())
+    got = by_id(as_of_next(ds, "part", "ts", "event_id", "v", sentinel=-999))
+    np.testing.assert_array_equal(got["next_v"].to_numpy(), exp["next_v"].to_numpy())
+    got = by_id(sessionize(ds, "part", "ts", "event_id", gap_us=1000))
+    np.testing.assert_array_equal(got["session_no"].to_numpy(), exp["session_no"].to_numpy())
+    # the partition column comes back with its nulls
+    assert got["part"].isna().sum() == t["part"].null_count
