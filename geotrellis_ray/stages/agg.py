@@ -13,6 +13,8 @@ picks the merge from its size in bytes: on the driver up to
 ``_SINGLE_DRIVER_MAX_BYTES``, one whole block up to
 ``_SINGLE_FINAL_MAX_BYTES``, a range sort above (``sort_group_aggregate``
 and ``sort_grouped_top_k``, built for #groups ~ #rows). No call site picks.
+A driver-merged or empty answer comes back materialized (``_answer``), so
+reading it starts no second Ray Data execution.
 Keyless ``grouped_top_k`` is ORDER BY ... LIMIT k. Exact grouped COUNT
 DISTINCT and MODE are compositions of the two (``sort_group_count_distinct``,
 ``sort_group_mode``), so they take the same merges and null semantics.
@@ -47,37 +49,53 @@ _SINGLE_DRIVER_MAX_BYTES = 4 << 20
 _SINGLE_FINAL_MAX_BYTES = 128 << 20
 
 
-def _empty_input(ds) -> pa.Table:
-    """A zero-row table with ``ds``'s schema (only the first block is read)."""
+def _empty_input(ds) -> pa.Table | None:
+    """A zero-row table with ``ds``'s schema (only the first block is read),
+    or None when ``ds`` has no schema: Ray 2.49's map skips empty blocks,
+    so a map over no rows has none."""
     sch = ds.schema(fetch_if_missing=True)
-    return pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
+    return None if sch is None else pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
+
+
+def _answer(t: pa.Table):
+    """A driver-built table as a dataset that already holds its one block:
+    reading it (``to_arrow_refs``, ``count``, ``take_all``) or materializing
+    it again starts no streaming execution. ``from_blocks`` computes the
+    block's metadata on the driver, where ``from_arrow`` runs a remote
+    metadata task (~6 ms); ``materialize()`` of a source that holds its
+    data skips execution and marks the plan executed."""
+    import ray.data as rd
+
+    return rd.from_blocks([t]).materialize()
 
 
 def _typed_map(ds, fn):
     """``ds.map_batches(fn)`` over Arrow batches that stays typed when ``ds``
     has no rows: Ray 2.49's map skips empty blocks, so its output would have
     no schema for a later merge to read. An input with neither rows nor a
-    schema (``limit(0)``) comes back as it is."""
-    import ray.data as rd
-
+    schema (``limit(0)``, a map over no rows) comes back as it is."""
     ds = ds.materialize()
     if ds.count() == 0:
-        return rd.from_arrow(fn(_empty_input(ds))) if ds.schema() is not None else ds
+        t0 = _empty_input(ds)
+        return ds if t0 is None else _answer(fn(t0))
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _grouped_final(partial, reduce, sort, empty, site: str):
-    """The last merge of a combined partial stream. ``reduce`` maps the
-    concatenated partial rows to the answer; ``sort`` is the range-sort
-    merge for a stream too large for one block; ``empty()`` builds the
-    typed answer when there are no partial rows at all. Logs
-    ``{site, choice, partial_rows, partial_bytes, threshold}`` at DEBUG.
+def _grouped_final(ds, partial, reduce, sort, empty, site: str):
+    """The last merge of ``partial``, the combined partial stream of ``ds``.
+    ``reduce`` maps the concatenated partial rows to the answer; ``sort`` is
+    the range-sort merge for a stream too large for one block; ``empty``
+    maps a zero-row table with ``ds``'s schema to the typed answer when
+    there are no partial rows at all. Logs ``{site, choice, partial_rows,
+    partial_bytes, threshold}`` at DEBUG.
 
-    The stream is materialized to be measured, so on the sort branch its
-    blocks stay in the object store while the sort runs (~2x the stream at
-    the peak; the sort would hold its own copy of them anyway)."""
+    The driver and empty answers come back materialized (``_answer``), so
+    reading them starts no second execution; an input with neither rows nor
+    a schema gives an answer with neither. The stream is materialized to be
+    measured, so on the sort branch its blocks stay in the object store
+    while the sort runs (~2x the stream at the peak; the sort would hold its
+    own copy of them anyway)."""
     import ray
-    import ray.data as rd
 
     partial = partial.materialize()
     n, size = partial.count(), partial.size_bytes()
@@ -90,10 +108,11 @@ def _grouped_final(partial, reduce, sort, empty, site: str):
     logger.debug("grouped final %s", {"site": site, "choice": choice, "partial_rows": n,
                                       "partial_bytes": size, "threshold": threshold})
     if n == 0:
-        return rd.from_arrow(empty())
+        t0 = _empty_input(ds)
+        return partial if t0 is None else _answer(empty(t0))
     if choice == "driver":
         parts = [t for t in ray.get(partial.to_arrow_refs()) if t.num_rows]
-        return rd.from_arrow(reduce(pa.concat_tables(parts)))
+        return _answer(reduce(pa.concat_tables(parts)))
     if choice == "one_block":
         # batch_size=None = the whole (single) block in one batch -> exact
         return partial.repartition(1).map_batches(
@@ -115,6 +134,11 @@ def _group_starts(t: pa.Table, keys) -> np.ndarray:
     return new
 
 
+def _var_width(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
+
+
 def _range_sort(ds, sort_keys):
     """``ds`` range-sorted by [(col, "ascending"|"descending")] in Arrow's
     order: NaN, then null, last in either direction. Ray 2.49's range
@@ -132,8 +156,7 @@ def _range_sort(ds, sort_keys):
             cls = pc.if_else(col.is_null(), 2, 0)
             if pa.types.is_floating(t):
                 cls = pc.if_else(pc.fill_null(pc.is_nan(col), False), 1, cls)
-            text = pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t)
-            zero = pa.scalar("" if text else 0).cast(t)
+            zero = pa.scalar("" if _var_width(t) else 0).cast(t)
             b = b.set_column(b.schema.get_field_index(c), c, pc.if_else(pc.equal(cls, 0), col, zero))
             b = b.append_column(f"__cls{i}", pc.cast(cls, pa.int8()))
         return b
@@ -196,10 +219,17 @@ def _batch_partial(batch: pa.Table, keys: list[str], specs: list[tuple[str, str,
             names.append(flag)
             nan_flags.append((alias, flag))
     cols = list(dict.fromkeys(keys + [c for c, _ in aggs if c]))
-    res = batch.select(cols).group_by(keys).aggregate(aggs)
+    # pyarrow 16's group_by splits groups when a string or binary key comes
+    # before a fixed-width key and either holds nulls: group with those keys
+    # last (a stable sort: no reorder otherwise), then restore keys' order
+    by = sorted(keys, key=lambda k: _var_width(batch.schema.field(k).type))
+    res = batch.select(cols).group_by(by).aggregate(aggs)
     # arrow names outputs "<col>_<fn>" in agg order around the keys; remap
     out = iter(names)
     res = res.rename_columns([n if n in keys else next(out) for n in res.schema.names])
+    if by != keys:
+        key_at = iter(keys)
+        res = res.select([next(key_at) if n in keys else n for n in res.schema.names])
     for alias, flag in nan_flags:
         col = res[alias]
         fixed = pc.if_else(pc.fill_null(pc.equal(res[flag], 1), False), pa.scalar(float("nan"), col.type), col)
@@ -291,10 +321,10 @@ def partial_groupby(ds, keys, specs, final=None):
         return merge(t).select(out_cols)
 
     return _grouped_final(
-        partial, answer,
+        ds, partial, answer,
         lambda p: sort_group_aggregate(p, gkeys, merge_specs).map_batches(
             lambda b: b.select(out_cols), batch_format="pyarrow", zero_copy_batch=True),
-        lambda: answer(combine(_empty_input(ds))), "stages.agg.partial_groupby")
+        lambda t0: answer(combine(t0)), "stages.agg.partial_groupby")
 
 
 def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None):
@@ -317,7 +347,6 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
     interior singleton groups never leave the block, which is the 99% case
     for duplicate-gram detection."""
     import ray
-    import ray.data as rd
 
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
     specs = [tuple(s) for s in specs]
@@ -356,7 +385,7 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
         # match for key field"). Rebuild the declared empty output schema
         # from the input instead (also covers having_min_count filtering
         # every group).
-        return rd.from_arrow(_batch_partial(_empty_input(ds).select(need_cols), keys, specs))
+        return _answer(_batch_partial(_empty_input(ds).select(need_cols), keys, specs))
     interior = segs.map_batches(
         lambda b: b.filter(pc.equal(b["__edge"], 0)).drop_columns(["__edge"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -382,7 +411,7 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
     # interior's first block IS empty whenever the first sorted block held
     # only edge segments (degenerate small inputs).
     if mt.num_rows:
-        return rd.from_arrow(mt).union(interior)
+        return _answer(mt).union(interior)
     # mt empty => having_min_count filtered every edge group (every non-empty
     # block emits edge rows, so without having this is unreachable past the
     # segs.count()==0 branch). interior is then the having-filtered stream —
@@ -424,9 +453,9 @@ def grouped_top_k(ds, keys, order_col: str, k: int, descending: bool = True,
     partial = ds.map_batches(lambda b: _batch_top_k(b, keys, sort_keys, k),
                              batch_format="pyarrow", zero_copy_batch=True)
     return _grouped_final(
-        partial, head,
+        ds, partial, head,
         lambda p: sort_grouped_top_k(p, keys, order_col, k, descending, tie_col),
-        lambda: head(_empty_input(ds)), "stages.agg.grouped_top_k")
+        head, "stages.agg.grouped_top_k")
 
 
 def _block_offsets(sorted_ds, id_col: str, tokens_col: str):
@@ -609,7 +638,6 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
     ``key_col`` is one column name or a list of them; order as in
     grouped_top_k (NaN, then null, last)."""
     import ray
-    import ray.data as rd
 
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -649,7 +677,7 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
         # block's first segment is an edge and keeps >= 1 row). An empty
         # sort emits a schema-less block (same Ray 2.49 behavior
         # sort_group_aggregate works around) — rebuild the typed schema.
-        return rd.from_arrow(_batch_top_k(_empty_input(ds), keys, sort_keys, k, rank=True))
+        return _answer(_batch_top_k(_empty_input(ds), keys, sort_keys, k, rank=True))
     winners = _batch_top_k(pa.concat_tables(edge_all), keys, sort_keys, k, rank=True)
 
     def rerank(t: pa.Table) -> pa.Table:
@@ -664,7 +692,7 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
     interior_ranked = interior.map_batches(rerank, batch_format="pyarrow",
                                            zero_copy_batch=True, batch_size=None)
     # winners first: its block is non-empty, keeping the union hash-join-safe
-    return rd.from_arrow(winners).union(interior_ranked)
+    return _answer(winners).union(interior_ranked)
 
 
 def sort_group_count_distinct(ds, key_col: str, val_col: str):
@@ -715,7 +743,6 @@ def exact_grouped_quantile(ds, key_col: str, val_col: str, id_col: str,
     from fractions import Fraction
 
     import ray
-    import ray.data as rd
 
     frac = Fraction(str(q))
     if not (0 < frac <= 1):
@@ -759,7 +786,7 @@ def exact_grouped_quantile(ds, key_col: str, val_col: str, id_col: str,
                                   zero_copy_batch=True, batch_size=None).materialize()
     none = np.zeros(0, np.int64)
     if mixed.count() == 0:
-        return rd.from_arrow(answer(_empty_input(ds), none, none, none))
+        return _answer(answer(_empty_input(ds), none, none, none))
     interior = mixed.map_batches(
         lambda b: b.filter(pc.equal(b["kind"], 0)).select([key_col, "q_val", "n_rows"]),
         batch_format="pyarrow", zero_copy_batch=True)

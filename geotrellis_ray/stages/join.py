@@ -10,7 +10,8 @@ is broadcast like any other right side) and a partition-based (PBSM)
 large-large spatial join built from ClipToGrid explode + equi-join on sfc.
 Every engine equi-join goes through spatial_join: it is the one place that
 calls Ray's ``Dataset.join``, the one place that sizes its partitions, and it
-normalizes the blocks of the right side only.
+normalizes the blocks of the right side only. A broadcast ships the right
+side's own blocks to the join tasks, never through the driver.
 """
 
 from __future__ import annotations
@@ -59,14 +60,17 @@ def _normalize_blocks(ds, n: int):
     return ds.repartition(n)
 
 
-def _broadcast_join(batch: pa.Table, *, right_ref, **join_kw) -> pa.Table:
-    """One left batch joined against the whole broadcast right table: the
+def _broadcast_join(batch: pa.Table, *, right_refs, **join_kw) -> pa.Table:
+    """One left batch joined against the whole broadcast right side, given
+    as the refs of its blocks: the blocks that have columns are concatenated
+    (aggregate lineage adds schema-less ones) and passed to the
     pa.Table.join call Ray 2.49's hash join makes on each partition
     (JoiningShuffleAggregation.finalize), so key coalescing, suffixes, null
     and duplicate keys and the output schema match the shuffle path."""
     import ray
 
-    return batch.join(ray.get(right_ref), **join_kw)
+    parts = [t for t in ray.get(right_refs) if t.num_columns]
+    return batch.join(pa.concat_tables(parts, promote_options="default"), **join_kw)
 
 
 def spatial_join(left, right, how: str = "inner", num_partitions: int | None = None,
@@ -81,36 +85,36 @@ def spatial_join(left, right, how: str = "inner", num_partitions: int | None = N
     The right side is materialized once (unless it already is) and its size
     read, so callers put the slim or aggregate-lineage side on the right. An
     inner or left_outer join against a right side of at most
-    BROADCAST_MAX_BYTES that has a schema broadcasts it: one ``ray.put``, one
-    Arrow join per left batch of max(right rows, _BROADCAST_MIN_BATCH_ROWS)
-    rows, no repartition, no join actors. Anything else repartitions the right
-    side only (_normalize_blocks) into ``num_partitions`` (default
-    _join_partitions()) and runs Ray's hash-partitioned ``Dataset.join``.
-    The left passes through as given: any lineage Ray accepts there,
-    including groupby-aggregate output with empty-schema blocks, a filter
-    that leaves one non-empty block, and a leading empty block (pinned in
-    tests/test_join_strategy.py). Same rows and schema either way (block
-    boundaries and row order may differ); the choice is logged at DEBUG."""
-    import ray
+    BROADCAST_MAX_BYTES that has a schema broadcasts it: each task gets the
+    refs of the right side's own blocks (the driver never fetches them) and
+    runs one Arrow join per left batch of max(right rows,
+    _BROADCAST_MIN_BATCH_ROWS) rows, no repartition, no join actors.
+    Anything else repartitions the right side only (_normalize_blocks) into
+    ``num_partitions`` (default _join_partitions()) and runs Ray's
+    hash-partitioned ``Dataset.join``. The left passes through as given: any
+    lineage Ray accepts there, including groupby-aggregate output with
+    empty-schema blocks, a filter that leaves one non-empty block, and a
+    leading empty block (pinned in tests/test_join_strategy.py). Same rows
+    and schema either way (block boundaries and row order may differ); the
+    choice is logged at DEBUG."""
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(right, MaterializedDataset):
         right = right.materialize()
     size = right.size_bytes()
-    table = None
-    if how in _BROADCAST_HOW and size is not None and size <= BROADCAST_MAX_BYTES:
-        # aggregate lineage adds schema-less blocks; if all are, no key column
-        # is left to broadcast and Ray 2.49's shuffle rejects it, as before
-        parts = [t for t in ray.get(right.to_arrow_refs()) if t.num_columns]
-        table = pa.concat_tables(parts, promote_options="default") if parts else None
-    batch_rows = None if table is None else max(table.num_rows, _BROADCAST_MIN_BATCH_ROWS)
+    # size, row count and schema come from block metadata. Aggregate lineage
+    # adds schema-less blocks; if all are, no key column is left to
+    # broadcast and Ray 2.49's shuffle rejects it, as before
+    broadcast = (how in _BROADCAST_HOW and size is not None and size <= BROADCAST_MAX_BYTES
+                 and right.schema() is not None)
+    batch_rows = max(right.count(), _BROADCAST_MIN_BATCH_ROWS) if broadcast else None
     logger.debug("join choice %s", {"site": "stages.join.spatial_join", "right_bytes": size,
-                                    "choice": "shuffle" if table is None else "broadcast",
+                                    "choice": "broadcast" if broadcast else "shuffle",
                                     "threshold": BROADCAST_MAX_BYTES, "batch_rows": batch_rows})
-    if table is not None:
+    if broadcast:
         return left.map_batches(
             _broadcast_join, batch_format="pyarrow", batch_size=batch_rows, zero_copy_batch=True,
-            fn_kwargs={"right_ref": ray.put(table), "join_type": how.replace("_", " "),
+            fn_kwargs={"right_refs": right.to_arrow_refs(), "join_type": how.replace("_", " "),
                        "keys": list(on), "left_suffix": left_suffix, "right_suffix": right_suffix})
     n = num_partitions or _join_partitions()
     return left.join(_normalize_blocks(right, n), join_type=how, num_partitions=n, on=on,

@@ -585,12 +585,8 @@ def approx_distinct_by(ds, key_col: str, value_col: str, p: int = 12):
         return pa.table({key_col: batch[key_col],
                          "approx_distinct": pa.array(hll_estimate(p, inv_sum, zeros), pa.float64())})
 
-    # key last: pyarrow 16's group_by splits groups when a string key with
-    # nulls precedes a fixed-width key
-    regs = _typed_map(ds, registers)
-    if regs.schema() is None:  # no rows and no schema to type an answer with
-        return regs
-    regs = partial_groupby(regs, ["reg", key_col], [("rho", "max", "rho")])
+    # an input with neither rows nor a schema passes through every step as it is
+    regs = partial_groupby(_typed_map(ds, registers), ["reg", key_col], [("rho", "max", "rho")])
     sums = partial_groupby(_typed_map(regs, powers), [key_col],
                            [("inv", "sum", "inv_sum"), ("inv", "count", "n_reg")])
     return _typed_map(sums, estimate)

@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .agg import _group_starts, _range_sort
+from .agg import _group_starts, _range_sort, _var_width
 
 # the driver stitch's "no block seen yet": None is a partition key value
 _NO_PART = object()
@@ -490,6 +490,7 @@ def window_rank_stats(ds, part_col: str, ord_col: str, id_col: str,
     a bounded-keys contract); row
     count per partition is unbounded. For unbounded partition keys use
     window_rank + an explicit join against the counts instead."""
+    import pyarrow.compute as pc
     import ray
 
     from .agg import partial_groupby
@@ -497,19 +498,16 @@ def window_rank_stats(ds, part_col: str, ord_col: str, id_col: str,
     counts = partial_groupby(
         ds.select_columns([part_col]), [part_col],
         [(part_col, "count", "n_part")],
-    ).to_pandas()
-    parts_sorted = counts.sort_values(part_col)
-    keys = parts_sorted[part_col].to_numpy()
-    ns = parts_sorted["n_part"].to_numpy().astype(np.int64)
-    ref = ray.put((keys, ns))
+    )
+    counts = pa.concat_tables([t for t in ray.get(counts.to_arrow_refs()) if t.num_columns])
+    ref = ray.put((counts[part_col].combine_chunks(), counts["n_part"].to_numpy()))
 
     ranked = window_rank(ds, part_col, ord_col, id_col)
 
     def stats(b: pa.Table) -> pa.Table:
         k_arr, n_arr = ray.get(ref)
-        parts = b[part_col].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(k_arr, parts)
-        N = n_arr[np.clip(pos, 0, len(n_arr) - 1)]
+        # index_in matches a null key to the null partition's count
+        N = n_arr[pc.index_in(b[part_col], value_set=k_arr).to_numpy(zero_copy_only=False)]
         rnk = b["rnk"].to_numpy(zero_copy_only=False)
         pctr = np.where(N > 1, (rnk - 1) / np.maximum(N - 1, 1), 0.0)
         cols = {id_col: b[id_col], part_col: b[part_col],
@@ -542,10 +540,10 @@ def moving_window_sum(ds, part_col: str, ord_col: str, id_col: str,
     Composed from verified parts: window_rank supplies exact running sums
     (rsum) and row numbers (rn) off ONE global range sort; the k-row sum
     is then rsum[rn] - rsum[rn-k], recovered with one slim left-outer self
-    spatial_join on (part, rn) — each side ships 3 thin columns per row, the
-    event payload never enters the exchange. Same integer contracts as
-    window_rank (ord/val integer-castable, id integer + globally
-    unique)."""
+    spatial_join on (part, rn), null-safe on part — each side ships a few
+    thin columns per row, the event payload never enters the exchange. Same
+    integer contracts as window_rank (ord/val integer-castable, id integer +
+    globally unique)."""
     import pyarrow.compute as pc
 
     from .join import spatial_join
@@ -553,15 +551,21 @@ def moving_window_sum(ds, part_col: str, ord_col: str, id_col: str,
     if k < 1:
         raise ValueError("k must be >= 1")
 
+    def part_key(b: pa.Table) -> dict:
+        # a join never matches a null key, but a null partition is one
+        # partition: join on (null flag, key filled with a placeholder)
+        col, t = b[part_col], b.schema.field(part_col).type
+        return {"__pnull": pc.cast(col.is_null(), pa.int8()),
+                "__pkey": pc.fill_null(col, pa.scalar("" if _var_width(t) else 0).cast(t))}
+
     m = window_rank(ds, part_col, ord_col, id_col, val_col)
-    left = m.map_batches(lambda b: b.select([id_col, part_col, "rn", "rsum"]),
-                         batch_format="pyarrow", zero_copy_batch=True)
-    right = m.map_batches(
-        lambda b: pa.table({part_col: b[part_col],
-                            "rn": pc.add(b["rn"], k),
-                            "__lag": b["rsum"]}),
+    left = m.map_batches(
+        lambda b: pa.table({**{c: b[c] for c in (id_col, part_col, "rn", "rsum")}, **part_key(b)}),
         batch_format="pyarrow", zero_copy_batch=True)
-    j = spatial_join(left, right, how="left_outer", on=(part_col, "rn"))
+    right = m.map_batches(
+        lambda b: pa.table({**part_key(b), "rn": pc.add(b["rn"], k), "__lag": b["rsum"]}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    j = spatial_join(left, right, how="left_outer", on=("__pnull", "__pkey", "rn"))
 
     def finish(b: pa.Table) -> pa.Table:
         rsum = b["rsum"].to_numpy(zero_copy_only=False)

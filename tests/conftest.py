@@ -29,3 +29,22 @@ def ray_session():
 
 SF_DIR = "/root/testdata/sf0.001"
 SF_DIR_MEDIUM = "/root/testdata/sf0.01"
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts the Ray Data streaming executions started while the test runs:
+    ``executions.n`` (a test may reset it to 0 before the step it pins)."""
+    import types
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    counter = types.SimpleNamespace(n=0)
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        counter.n += 1
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return counter

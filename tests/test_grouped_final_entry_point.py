@@ -6,7 +6,11 @@ them: a ``partial_groupby(..., final=...)`` call, a
 hand-written ``final_topk`` merge, a ``global_top_k`` copy of keyless
 grouped_top_k, and a ``.sort(`` in stages/agg.py or stages/window.py
 outside ``_range_sort`` (the null-safe sort) other than the unique-id sorts
-of the token packers and exact_quantiles' sort of one null-free column."""
+of the token packers and exact_quantiles' sort of one null-free column.
+It also fails on a dataset built from driver tables in stages/agg.py
+outside ``_answer``, which hands it back materialized: a bare
+``rd.from_arrow(...)`` answer runs a remote metadata task and starts a
+second execution when it is read."""
 
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ PKG = Path(__file__).resolve().parent.parent / "geotrellis_ray"
 AGG = PKG / "stages" / "agg.py"
 WINDOW = PKG / "stages" / "window.py"
 SORTS_ALLOWED = {"_range_sort", "pack_token_shards", "pack_token_spans", "exact_quantiles"}
+DRIVER_SOURCES = {"from_arrow", "from_arrow_refs", "from_blocks", "from_pandas", "from_items"}
 
 
 def _name(func: ast.expr) -> str | None:
@@ -63,3 +68,12 @@ def test_grouped_finals_go_through_agg():
 def test_agg_sorts_go_through_range_sort():
     assert _raw_sorts(AGG) + _raw_sorts(WINDOW) == [], \
         "sort through agg._range_sort (null- and NaN-safe)"
+
+
+def test_agg_driver_answers_go_through_answer():
+    tree = ast.parse(AGG.read_text(), filename=str(AGG))
+    sites = [f"agg.py:{node.lineno} {_name(node.func)}("
+             for fn in tree.body if not (isinstance(fn, ast.FunctionDef) and fn.name == "_answer")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _name(node.func) in DRIVER_SOURCES]
+    assert sites == [], "build a driver-side answer with agg._answer (materialized)"

@@ -280,3 +280,23 @@ def test_all_empty_left_blocks(ray_session, monkeypatch, how):
                                    ray.data.from_arrow(RIGHT), how).materialize()
         assert ds.count() == 0 and ds.schema() is None
         assert all(t.num_rows == 0 for t in ray.get(ds.to_arrow_refs()))
+
+
+def test_broadcast_join_then_groupby_is_one_execution(ray_session, executions, caplog):
+    """A small right side broadcasts as its own blocks and a small grouped
+    answer comes back materialized, so join -> partial_groupby -> read
+    starts exactly one Ray Data execution: the grouped partial pass."""
+    from geotrellis_ray.stages.agg import partial_groupby
+
+    left, right = _left_ds().materialize(), ray.data.from_arrow(RIGHT).materialize()
+    executions.n = 0
+    with caplog.at_level(logging.DEBUG, logger=join_mod.__name__):
+        joined = join_mod.spatial_join(left, right, on=("sfc",))
+    assert _join_log(caplog)["choice"] == "broadcast"
+    out = partial_groupby(joined, ["key_row"], [("v", "count", "n"), ("v_r", "sum", "s")])
+    got = _table(out)
+    assert executions.n == 1
+    con = duckdb.connect()
+    con.register("j", _oracle(RIGHT, ("sfc",), "inner"))
+    exp = con.execute("SELECT key_row, count(*) AS n, sum(v_r) AS s FROM j GROUP BY key_row").arrow()
+    assert _sorted(got).equals(_sorted(exp.cast(got.schema)))

@@ -470,11 +470,14 @@ def _null_key_events(key_type):
 @pytest.mark.parametrize("key_type", ["string", "int64"])
 def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
     """A null partition key is one partition, as in SQL PARTITION BY: the
-    range sort must not fail on it and the block pass and driver stitch
-    must not split it (8 blocks, so the null run crosses block edges)."""
+    range sort must not fail on it, the block pass and driver stitch must
+    not split it (8 blocks, so the null run crosses block edges), the
+    moving sum's self join must match it and the rank stats must look up
+    its count."""
     import duckdb
 
-    from geotrellis_ray.stages.window import as_of_next, sessionize, window_rank
+    from geotrellis_ray.stages.window import (as_of_next, moving_window_sum, sessionize,
+                                              window_rank, window_rank_stats)
 
     t = _null_key_events(key_type)
     ds = ray.data.from_arrow(t).repartition(8)
@@ -487,7 +490,11 @@ def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
                             ROWS UNBOUNDED PRECEDING)::BIGINT AS rsum,
                coalesce(lag(v) OVER (PARTITION BY part ORDER BY ts, event_id), -999) AS prev_v,
                coalesce(lead(v) OVER (PARTITION BY part ORDER BY ts, event_id), -999) AS next_v,
-               sum(new) OVER (PARTITION BY part ORDER BY ts, event_id) AS session_no
+               sum(new) OVER (PARTITION BY part ORDER BY ts, event_id) AS session_no,
+               sum(v) OVER (PARTITION BY part ORDER BY ts, event_id
+                            ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)::BIGINT AS mov_sum,
+               percent_rank() OVER (PARTITION BY part ORDER BY ordv) AS pctr,
+               ntile(3) OVER (PARTITION BY part ORDER BY ordv, event_id) AS bucket
         FROM (SELECT *, CASE WHEN ts - lag(ts) OVER (PARTITION BY part ORDER BY ts, event_id)
                              <= 1000 THEN 0 ELSE 1 END AS new FROM t)
         ORDER BY event_id""").df()
@@ -502,6 +509,11 @@ def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
     np.testing.assert_array_equal(got["prev_v"].to_numpy(), exp["prev_v"].to_numpy())
     got = by_id(as_of_next(ds, "part", "ts", "event_id", "v", sentinel=-999))
     np.testing.assert_array_equal(got["next_v"].to_numpy(), exp["next_v"].to_numpy())
+    got = by_id(moving_window_sum(ds, "part", "ts", "event_id", "v", 3))
+    np.testing.assert_array_equal(got["mov_sum"].to_numpy(), exp["mov_sum"].to_numpy())
+    got = by_id(window_rank_stats(ds, "part", "ordv", "event_id", ntile=3))
+    for c in ("pctr", "bucket"):
+        np.testing.assert_array_equal(got[c].to_numpy(), exp[c].to_numpy(), err_msg=c)
     got = by_id(sessionize(ds, "part", "ts", "event_id", gap_us=1000))
     np.testing.assert_array_equal(got["session_no"].to_numpy(), exp["session_no"].to_numpy())
     # the partition column comes back with its nulls
