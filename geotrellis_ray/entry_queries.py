@@ -97,8 +97,8 @@ def _read(sf_dir: str, table: str, columns=None):
     scale the default (many files, target_max_block_size) is correct and
     untouched. (r03 A/B: dropping to 1k-row blocks parallelized the serial
     2 s MinHasher but REGRESSED every dedup chain 18-48% — the ~5 s shuffle
-    floor, the O(#blocks) boundary stitches and map_groups scheduling all
-    scale with block count and dominate at this size; measured
+    floor, the then O(#blocks) boundary stitches and map_groups scheduling
+    all scaled with block count and dominated at this size; measured
     ngram 9.4->11.1 s, minhash 6.6->7.7 s, simhash 17.8->26.2 s.)"""
     import os
 
@@ -1077,7 +1077,7 @@ def _sql_stratified_sample() -> str:
 def q_sessionize_events(sf_dir: str):
     """Gaps-and-islands sessionization over the event stream
     (stages/window.sessionize): per-user sessions split at >6h gaps; ONE
-    range sort + vectorized block pass + O(#blocks) driver stitch. The
+    group_map on the user + a vectorized pass over whole partitions. The
     SQL-window `sum(new_flag) OVER (PARTITION BY user ORDER BY ts, id)`
     semantics, distributed."""
     from .stages.window import sessionize
@@ -1105,10 +1105,9 @@ SQL_SESSIONIZE = """
 def q_window_rank(sf_dir: str):
     """Partitioned ranking window functions (stages/window.window_rank):
     ROW_NUMBER / RANK / DENSE_RANK and the inclusive running value sum per
-    user over the event stream — ONE range sort + vectorized in-block ranks
-    + the O(#blocks) driver boundary stitch (rn/rsum additive, drnk
-    tie-aware additive, rnk with a leading-tie-run group override). Money is
-    integer cents so the running sum is bit-exact vs SQL."""
+    user over the event stream — ONE group_map on the user + vectorized
+    ranks over whole partitions. Money is integer cents so the running sum
+    is bit-exact vs SQL."""
     from .stages.window import window_rank
 
     def cents(b: pa.Table) -> pa.Table:
@@ -1894,7 +1893,7 @@ def _sql_minhash_dedup() -> str:
     via hex substr), the (x ^ seed) * GOLDEN mod 2^64 permutation family
     (split 32-bit multiply — INT128 can't hold a full 64x64 product), LSH
     band signatures, the pipeline's consecutive-id chain edges per bucket
-    (the sort-adjacency semantics of stages/dedup.py:_block_adjacent_pairs),
+    (the sort-adjacency semantics of stages/dedup.py:_bucket_pairs),
     signature-agreement est >= 0.7, and min-label connected components."""
     return f"""
 WITH RECURSIVE {_SQL_MINHASH_CAND}, est AS (
@@ -3382,9 +3381,9 @@ SQL_SLIDING = """
 def q_events_asof_prev(sf_dir: str):
     """As-of self join (LAG): for every event, the previous same-type
     event's value_cents in (ts, event_id) order; -1 for partition firsts.
-    Distributed via one range sort + vectorized block lag + O(blocks)
-    boundary stitch (stages/window.py); SQL-checked against DuckDB's
-    window LAG."""
+    Distributed via one group_map on the type + a vectorized lag over whole
+    partitions (stages/window.py); SQL-checked against DuckDB's window
+    LAG."""
     from .stages.window import as_of_prev
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
@@ -3411,8 +3410,8 @@ SQL_ASOF = """
 def q_events_asof_next(sf_dir: str):
     """As-of forward join (LEAD): for every event, the NEXT same-type
     event's value_cents in (ts, event_id) order; -1 for partition lasts.
-    Same one-sort + O(#blocks) stitch as the LAG twin with the lag
-    direction and boundary patch mirrored (stages/window.py:as_of_next);
+    Same one group_map as the LAG twin with the shift mirrored
+    (stages/window.py:as_of_next);
     SQL-checked against DuckDB's window LEAD."""
     from .stages.window import as_of_next
 
@@ -5290,7 +5289,7 @@ def q_image_near_dups(sf_dir: str):
     (_sql_image_near_dups) recomputes pixels -> luma -> 8x9 box averages ->
     gradient bits from the doc ids and verifies the exact (id_a, id_b,
     hamming) pair set — any decode, luma, pooling, banding, or
-    boundary-stitch defect changes the pair set. Planted-pair pytest
+    bucketing defect changes the pair set. Planted-pair pytest
     (test_media) remains."""
     from .core.media import encode_bmp
     from .stages.multimodal import image_near_dups
@@ -5969,10 +5968,9 @@ SQL_KEEP_BEST = f"""
 def q_grouped_topk_sort(sf_dir: str):
     """Grouped top-k at UNBOUNDED key cardinality (stages/agg.py:
     sort_grouped_top_k): the 2 longest docs per canonical URL with their
-    rank — one range sort, interior segments emit in place, only O(k *
-    #blocks) edge rows ride the driver side channel (the sort-based
-    sibling of grouped_top_k, which pays Ray Aggregate's ~300x per-group
-    overhead in this regime). SQL-checked vs QUALIFY ROW_NUMBER() <= 2."""
+    rank — one group_map on the URL, each block keeping the top k of its
+    whole groups (the sort-based sibling of grouped_top_k, which pays Ray
+    Aggregate's ~300x per-group overhead in this regime). SQL-checked vs QUALIFY ROW_NUMBER() <= 2."""
     import pyarrow.compute as pc
 
     from .functions.url_ops import canonicalize_urls
@@ -6040,23 +6038,21 @@ def q_grouped_median_cents(sf_dir: str):
     """EXACT grouped median (stages/agg.py:exact_grouped_quantile,
     quantile_disc semantics — the element at ceil(n*q)-1, index in exact
     rational arithmetic to match DuckDB where float ceil(n*q) breaks):
-    median spent cents per user. Two map passes over ONE materialized
-    range sort (the pack_token_shards stable-blocks pattern); interior
-    groups answer in place, spanning groups through an O(#blocks)
-    side channel + targeted second-pass gather. SQL-checked vs DuckDB
-    quantile_disc."""
+    median spent cents per user. ONE group_map on the user with the cents
+    as the local order; each block answers its whole groups by index.
+    SQL-checked vs DuckDB quantile_disc."""
     from .stages.agg import exact_grouped_quantile
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
+    ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
-            "user_id": b["user_id"], "event_id": b["event_id"],
+            "user_id": b["user_id"],
             "cents": pa.array(_cents(b["value"].to_numpy(zero_copy_only=False)), pa.int64()),
         })
 
     prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return exact_grouped_quantile(prepped, "user_id", "cents", "event_id", q="0.5")
+    return exact_grouped_quantile(prepped, "user_id", "cents", q="0.5")
 
 
 SQL_GROUPED_MEDIAN = """
@@ -6362,7 +6358,7 @@ SQL_SIGMOIDAL = """
 
 def q_region_group(sf_dir: str):
     """RegionGroup (stages/regiongroup): distributed connected-component
-    labeling (per-tile run-based CCL + edge-equivalence stitch) over a
+    labeling (per-tile run-based CCL + border label equivalences) over a
     deterministic hash-valued 48x48 grid, reported label-free as
     (region_cell = min global cell index, n_cells) so a DuckDB recursive
     transitive-closure oracle can check it exactly."""

@@ -29,6 +29,7 @@ from ..core.layout import Extent, LayoutDefinition
 from ..core.raster import decode_tile, encode_tile, merge as tile_merge
 from ..core.sfc import zorder
 from ..stages._arrow_groups import one_tile, views
+from ..stages.agg import each_group, group_map
 
 MAGIC = b"GRD1"
 
@@ -219,4 +220,5 @@ def tile_to_layout(rasters_ds, layout: LayoutDefinition):
         cells, cc, rr, ct2 = encode_tile(out)
         return one_tile(c, r, cells, cc, rr, ct2)
 
-    return exploded.groupby(["key_col", "key_row"]).map_groups(merge_group, batch_format="pyarrow")
+    keys = ["key_col", "key_row"]
+    return group_map(exploded, keys, each_group(keys, merge_group))

@@ -19,9 +19,11 @@ Keyless ``grouped_top_k`` is ORDER BY ... LIMIT k. Exact grouped COUNT
 DISTINCT and MODE are compositions of the two (``sort_group_count_distinct``,
 ``sort_group_mode``), so they take the same merges and null semantics.
 
-Every range sort here goes through ``_range_sort`` (null- and NaN-safe),
-except the unique-id sorts of the token packers and ``exact_quantiles``'
-sort of one null-free column.
+Every grouping sort of the engine is ``group_map``: one null- and NaN-safe
+range sort on the group keys, after which each block holds whole groups,
+so a block answers its groups in place and nothing is stitched on the
+driver. The only other sorts are the unique-id sorts of the token packers
+and ``exact_quantiles``' sort of one null-free column.
 
 Supported specs: ("col", "sum"), ("col", "min"), ("col", "max"),
 ("col", "count" -> output alias counts rows). Output column names are the
@@ -139,19 +141,38 @@ def _var_width(t: pa.DataType) -> bool:
             or pa.types.is_binary(t) or pa.types.is_large_binary(t))
 
 
-def _range_sort(ds, sort_keys):
-    """``ds`` range-sorted by [(col, "ascending"|"descending")] in Arrow's
-    order: NaN, then null, last in either direction. Ray 2.49's range
-    partitioner compares sampled rows as Python objects, which fails on a
-    null in a string column and places NaN and null apart from Arrow's
-    block sort. So each sort column is filled (NaN and null -> 0 or "") and
-    sorted after an int8 class column (0 value, 1 NaN, 2 null); the column
-    is restored after the sort. Block boundaries are kept: one batch per
-    sorted block."""
-    cols = [c for c, _o in sort_keys]
+def group_map(ds, keys, fn, order=()):
+    """``fn`` over key-sorted blocks that hold only whole ``keys`` groups —
+    the engine's one grouping sort. ``keys`` is one column name or a list;
+    ``order`` is more sort columns, each a name (ascending) or a
+    ``(name, "ascending"|"descending")`` pair.
+
+    ONE range sort on ``keys`` alone: Ray 2.49's range partitioner cuts on
+    the full sort-key tuple and each reducer returns one block, so the first
+    ``map_batches(batch_size=None)`` after it sees every group in exactly
+    one block (tests/test_sort_group.py pins this; a second fused map would
+    re-chunk the block and split a hot key). That map is ``fn``'s: the block
+    arrives sorted by ``keys`` (Arrow order: NaN, then null, last), is
+    sorted locally by ``keys + order`` when an ``order`` is given, and is
+    handed over whole; ``each_group`` adapts a per-group ``fn``.
+    A group is bounded by one reducer block, as under Ray's ``map_groups``.
+
+    The partitioner compares sampled rows as Python objects, which fails on
+    a null in a string column and places NaN and null apart from Arrow's
+    block sort. So each key is filled (NaN and null -> 0 or "") and sorted
+    after an int8 class column (0 value, 1 NaN, 2 null); the key is restored
+    before ``fn`` runs. Nulls equal nulls and NaN equals NaN, as in SQL
+    GROUP BY.
+
+    The answer comes back materialized. An input with no rows gives
+    ``fn`` over a zero-row table with the input's schema; an input with
+    neither rows nor a schema comes back as it is."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    local = [(c, "ascending") for c in keys] + [
+        (c, "ascending") if isinstance(c, str) else tuple(c) for c in order]
 
     def fill(b: pa.Table) -> pa.Table:
-        for i, c in enumerate(cols):
+        for i, c in enumerate(keys):
             col, t = b[c], b.schema.field(c).type
             cls = pc.if_else(col.is_null(), 2, 0)
             if pa.types.is_floating(t):
@@ -161,21 +182,45 @@ def _range_sort(ds, sort_keys):
             b = b.append_column(f"__cls{i}", pc.cast(cls, pa.int8()))
         return b
 
-    def restore(b: pa.Table) -> pa.Table:
-        for i, c in enumerate(cols):
+    def apply(b: pa.Table) -> pa.Table:
+        for i, c in enumerate(keys):
             col, t, cls = b[c], b.schema.field(c).type, b[f"__cls{i}"]
             col = pc.if_else(pc.equal(cls, 2), pa.scalar(None, t), col)
             if pa.types.is_floating(t):
                 col = pc.if_else(pc.equal(cls, 1), pa.scalar(float("nan"), t), col)
             b = b.set_column(b.schema.get_field_index(c), c, col)
-        return b.drop_columns([f"__cls{i}" for i in range(len(cols))])
+        b = b.drop_columns([f"__cls{i}" for i in range(len(keys))])
+        # the reducer's block is already sorted by the keys in Arrow's order
+        # (the class column puts NaN, then null, last): only an ``order``
+        # needs a local sort, which copies every column
+        return fn(b.sort_by(local) if order else b)
 
-    order = [name for i, c in enumerate(cols) for name in (f"__cls{i}", c)]
-    desc = [d for _c, o in sort_keys for d in (False, o == "descending")]
-    return (ds.map_batches(fill, batch_format="pyarrow", zero_copy_batch=True)
-              .sort(order, descending=desc)
-              .map_batches(restore, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=None))
+    by = [name for i, c in enumerate(keys) for name in (f"__cls{i}", c)]
+    out = (ds.map_batches(fill, batch_format="pyarrow", zero_copy_batch=True)
+             .sort(by)
+             .map_batches(apply, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+             .materialize())
+    if out.count() == 0 and out.schema() is None:
+        # Ray 2.49's map skips empty blocks, so a sort over no rows maps to
+        # no schema
+        t0 = _empty_input(ds)
+        return out if t0 is None else _answer(fn(t0.sort_by(local)))
+    return out
+
+
+def each_group(keys, fn):
+    """A ``group_map`` block function that calls ``fn`` once per group (a
+    zero-copy slice of the block) and concatenates the answers: the shape of
+    Ray's ``groupby(keys)`` group apply. No group gives a table with no
+    columns."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def apply(b: pa.Table) -> pa.Table:
+        starts = np.flatnonzero(_group_starts(b, keys))
+        outs = [fn(b.slice(s, e - s)) for s, e in zip(starts, np.r_[starts[1:], b.num_rows])]
+        return pa.concat_tables(outs, promote_options="default") if outs else pa.table({})
+
+    return apply
 
 
 def _batch_partial(batch: pa.Table, keys: list[str], specs: list[tuple[str, str, str]]) -> pa.Table:
@@ -335,19 +380,15 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
     0.6 s vs groupby().aggregate() 189.5 s — found by the r5 text-dedup
     rehearsal). ``key_col`` is one column name or a list of them.
 
-    Shape: ONE range sort on the keys -> per-block reduce of the sorted
-    runs (``_run_reduce``, numpy reduceat) -> the <=2 EDGE segments per block (whose key may continue
-    in a neighboring block) are merged in a single tiny driver pass and
-    unioned back. Driver traffic is O(#blocks), like the window/sessionize
-    stitches.
+    Shape: ONE ``group_map`` on the keys; each block reduces its whole
+    groups in place (``_run_reduce``, numpy reduceat). Nothing reaches the
+    driver.
 
     specs: [(col, fn, alias)] with fn in {count,sum,min,max}, with
     partial_groupby's semantics (``_batch_partial``). ``having_min_count``
     (requires a count spec) pushes ``count >= N`` into the blocks —
-    interior singleton groups never leave the block, which is the 99% case
-    for duplicate-gram detection."""
-    import ray
-
+    singleton groups never leave the block, which is the 99% case for
+    duplicate-gram detection."""
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
     specs = [tuple(s) for s in specs]
     count_aliases = [a for _c, f, a in specs if f == "count"]
@@ -355,83 +396,40 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
         raise ValueError("having_min_count requires a count spec")
     need_cols = list(dict.fromkeys(keys + [c for c, f, _a in specs if f != "count"]))
 
-    def block_fn(b: pa.Table) -> pa.Table:
+    def reduce(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
-            return _batch_partial(b, keys, specs).append_column("__edge", pa.array([], pa.int8()))
+            return _batch_partial(b, keys, specs)
         new = _group_starts(b, keys)
         red = _run_reduce(b, new, specs)
-        nseg = red.num_rows
-        edge = np.zeros(nseg, dtype=bool)
-        edge[[0, -1]] = True
-        keep = ~edge
-        if having_min_count is not None:
-            for a in count_aliases:
-                keep &= red[a].to_numpy() >= having_min_count
-        sel = pa.array(np.r_[np.flatnonzero(keep), np.flatnonzero(edge)])
-        out = b.select(keys).take(pa.array(np.flatnonzero(new))).take(sel)
+        out = b.select(keys).take(pa.array(np.flatnonzero(new)))
         for name in red.column_names:
-            out = out.append_column(name, red[name].take(sel))
-        kind = np.r_[np.zeros(int(keep.sum()), np.int8), np.ones(int(edge.sum()), np.int8)]
-        return out.append_column("__edge", pa.array(kind))
+            out = out.append_column(name, red[name])
+        if having_min_count is not None:
+            keep = np.ones(out.num_rows, dtype=bool)
+            for a in count_aliases:
+                keep &= out[a].to_numpy() >= having_min_count
+            out = out.filter(pa.array(keep))
+        return out
 
-    slim = ds.map_batches(lambda b: b.select(need_cols), batch_format="pyarrow",
-                          zero_copy_batch=True)
-    segs = (_range_sort(slim, [(c, "ascending") for c in keys])
-              .map_batches(block_fn, batch_format="pyarrow", zero_copy_batch=True)
-              .materialize())
-    if segs.count() == 0:
-        # Ray's sort on an EMPTY dataset emits a single schema-less block;
-        # anything joined against that later fails with ArrowInvalid ("no
-        # match for key field"). Rebuild the declared empty output schema
-        # from the input instead (also covers having_min_count filtering
-        # every group).
-        return _answer(_batch_partial(_empty_input(ds).select(need_cols), keys, specs))
-    interior = segs.map_batches(
-        lambda b: b.filter(pc.equal(b["__edge"], 0)).drop_columns(["__edge"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    edge_parts = ray.get(
-        segs.filter(expr="__edge == 1").drop_columns(["__edge"]).to_arrow_refs())
-    edge_parts = [t for t in edge_parts if t.num_rows]
-    if not edge_parts:
-        return interior
-    # merge edge segments per key (tiny: <=2 rows per block). After the range
-    # sort a key's rows are contiguous, so edge rows with equal keys are the
-    # same global group split across neighboring blocks.
-    mt = _batch_partial(pa.concat_tables(edge_parts), keys, [
-        (a, "sum" if f in ("count", "sum") else f, a) for _c, f, a in specs])
-    if having_min_count is not None:
-        m = None
-        for a in count_aliases:
-            c = pc.greater_equal(mt[a], having_min_count)
-            m = c if m is None else pc.and_(m, c)
-        mt = mt.filter(m)
-    # edge-merged rows FIRST: Ray 2.49's hash join fails with ArrowInvalid
-    # ("no match for key field on right side") when a join side's LEADING
-    # block is empty (mid-stream empty blocks are fine — isolated r5), and
-    # interior's first block IS empty whenever the first sorted block held
-    # only edge segments (degenerate small inputs).
-    if mt.num_rows:
-        return _answer(mt).union(interior)
-    # mt empty => having_min_count filtered every edge group (every non-empty
-    # block emits edge rows, so without having this is unreachable past the
-    # segs.count()==0 branch). interior is then the having-filtered stream —
-    # tiny for any threshold >= 2 — so repartition(1) is cheap and guarantees
-    # the leading block is non-empty whenever any row survived, keeping the
-    # result hash-join-safe without per-call-site contracts.
-    return interior.repartition(1)
+    return group_map(ds.select_columns(need_cols), keys, reduce)
 
 
-def _batch_top_k(t: pa.Table, keys, sort_keys, k: int, rank: bool = False) -> pa.Table:
-    """The first k rows of each ``keys`` group in ``sort_keys`` order (Arrow
-    sort: stable, NaN then null last), with a 1-based int64 ``rank`` if
-    asked."""
-    t = t.sort_by([(c, "ascending") for c in keys] + sort_keys)
+def _head(t: pa.Table, keys, k: int, rank: bool = False) -> pa.Table:
+    """The first k rows of each ``keys`` group of a key-sorted table, with a
+    1-based int64 ``rank`` if asked."""
     new = _group_starts(t, keys)
     idx = np.arange(t.num_rows)
     pos = idx - np.maximum.accumulate(np.where(new, idx, 0))
     sel = np.flatnonzero(pos < k)
     t = t.take(pa.array(sel, pa.int64()))
     return t.append_column("rank", pa.array(pos[sel] + 1, pa.int64())) if rank else t
+
+
+def _batch_top_k(t: pa.Table, keys, sort_keys, k: int, rank: bool = False) -> pa.Table:
+    """The first k rows of each ``keys`` group in ``sort_keys`` order (Arrow
+    sort: stable, NaN then null last), with a 1-based int64 ``rank`` if
+    asked."""
+    return _head(t.sort_by([(c, "ascending") for c in keys] + sort_keys), keys, k, rank)
 
 
 def grouped_top_k(ds, keys, order_col: str, k: int, descending: bool = True,
@@ -623,76 +621,22 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
     _SINGLE_FINAL_MAX_BYTES of partial rows. "Top k docs per
     canonical URL / content cluster" over a web corpus lives here.
 
-    Shape: ONE range sort on (key, order[, tie]) — after it a group's
-    global top-k are its FIRST k rows, and blocks are contiguous in global
-    order, so every interior (fully-in-block) segment emits its first k
-    rows directly; only the <= 2 EDGE segments per block ship their first
-    k rows through the O(k * #blocks) driver side channel, where they are
-    re-ranked per key and unioned back. Ship slim columns (key, order,
-    id) and join payloads back by id — rows ride whole through this
-    operator.
+    Shape: ONE ``group_map`` on the keys with (order[, tie]) as the local
+    order, so each block keeps the first k rows of its whole groups. Rows
+    ride whole through the sort: ship slim columns (key, order, id) and
+    join payloads back by id.
 
     Ties: ``tie_col`` (ascending, must make rows unique) pins the SQL
-    ROW_NUMBER order; without it, ranks among equal order values are
-    nondeterministic across block splits. Adds ``rank`` (1-based).
-    ``key_col`` is one column name or a list of them; order as in
-    grouped_top_k (NaN, then null, last)."""
-    import ray
-
+    ROW_NUMBER order; without it, ranks among equal order values follow
+    the block's row order. Adds ``rank`` (1-based). ``key_col`` is one
+    column name or a list of them; order as in grouped_top_k (NaN, then
+    null, last)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
     sort_keys = [(order_col, "descending" if descending else "ascending")] + (
         [(tie_col, "ascending")] if tie_col else [])
-
-    def block_fn(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            t = b.append_column("rank", pa.array([], pa.int64()))
-            return t.append_column("__edge", pa.array([], pa.int8()))
-        seg_first = _group_starts(b, keys)
-        idx = np.arange(b.num_rows, dtype=np.int64)
-        seg_start = np.maximum.accumulate(np.where(seg_first, idx, 0))
-        pos = idx - seg_start
-        seg_id = np.cumsum(seg_first) - 1
-        edge = (seg_id == 0) | (seg_id == seg_id[-1])
-        keep = pos < k
-        sel = np.flatnonzero(keep)
-        t = b.take(pa.array(sel, pa.int64()))
-        t = t.append_column("rank", pa.array(pos[sel] + 1, pa.int64()))
-        return t.append_column("__edge", pa.array(edge[sel].astype(np.int8), pa.int8()))
-
-    # batch_size=None: one batch per sorted BLOCK. A segment split across
-    # batches is always marked edge (it is first/last in both), so smaller
-    # batches stay correct — but they multiply the driver edge traffic.
-    segs = (_range_sort(ds, [(c, "ascending") for c in keys] + sort_keys)
-              .map_batches(block_fn, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=None)
-              .materialize())
-    interior = segs.filter(expr="__edge == 0").drop_columns(["__edge", "rank"])
-    edge_parts = ray.get(
-        segs.filter(expr="__edge == 1").drop_columns(["__edge", "rank"]).to_arrow_refs())
-    edge_all = [t for t in edge_parts if t.num_rows]
-    if not edge_all:
-        # only possible when the input itself was empty (every non-empty
-        # block's first segment is an edge and keeps >= 1 row). An empty
-        # sort emits a schema-less block (same Ray 2.49 behavior
-        # sort_group_aggregate works around) — rebuild the typed schema.
-        return _answer(_batch_top_k(_empty_input(ds), keys, sort_keys, k, rank=True))
-    winners = _batch_top_k(pa.concat_tables(edge_all), keys, sort_keys, k, rank=True)
-
-    def rerank(t: pa.Table) -> pa.Table:
-        # interior segments are complete groups: their in-block position IS
-        # the global rank (recomputed here so interior and edge rows share
-        # one code path for the rank column's dtype/position)
-        return block_fn(t).drop_columns(["__edge"])
-
-    # batch_size=None is REQUIRED here: interior rows are whole groups
-    # within their block, and a smaller batch size could split a group and
-    # restart its rank
-    interior_ranked = interior.map_batches(rerank, batch_format="pyarrow",
-                                           zero_copy_batch=True, batch_size=None)
-    # winners first: its block is non-empty, keeping the union hash-join-safe
-    return _answer(winners).union(interior_ranked)
+    return group_map(ds, keys, lambda b: _head(b, keys, k, rank=True), order=sort_keys)
 
 
 def sort_group_count_distinct(ds, key_col: str, val_col: str):
@@ -716,8 +660,7 @@ def sort_group_count_distinct(ds, key_col: str, val_col: str):
                            [("__valid", "sum", "n_distinct"), ("c", "sum", "n_rows")])
 
 
-def exact_grouped_quantile(ds, key_col: str, val_col: str, id_col: str,
-                           q="0.5"):
+def exact_grouped_quantile(ds, key_col: str, val_col: str, q="0.5"):
     """EXACT per-group quantile at UNBOUNDED key cardinality —
     quantile_disc semantics: the element at ascending index ceil(n*q)-1
     of each group's n non-null values (index computed in exact rational
@@ -726,103 +669,28 @@ def exact_grouped_quantile(ds, key_col: str, val_col: str, id_col: str,
     no value; n_rows counts every row and null keys form one group. The
     grouped sibling of exact_quantiles; median is q="0.5".
 
-    Shape: TWO map passes over ONE materialized ``_range_sort`` on
-    (key, val, id) — the pack_token_shards stable-blocks pattern
-    (batch_size=None keeps block contents identical across passes). Nulls
-    sort last, so a group's values precede its null values. Pass 1 answers
-    every interior (fully-in-block) group in place and ships an O(#blocks)
-    side channel: per EDGE segment its key, row and value counts and start
-    row, plus the block's first (val, id) as its order. The driver walks
-    the edge segments in global order, finds the one holding each spanning
-    group's target value, and broadcasts {block_first_id: rows}; pass 2
-    re-maps the same blocks and gathers exactly those elements. The driver
-    never sees a value row. ``id_col`` must be integer and globally unique
-    (it makes the sort a total order, so block identity is unambiguous
-    even inside a giant duplicate run).
+    Shape: ONE ``group_map`` on the key with the value as the local order.
+    Nulls sort last, so a group's values precede its null values and each
+    block picks every quantile of its whole groups by index.
     -> Dataset (key_col, q_val, n_rows)."""
     from fractions import Fraction
-
-    import ray
 
     frac = Fraction(str(q))
     if not (0 < frac <= 1):
         raise ValueError("q must be in (0, 1]")
 
-    def target(n):
-        # ascending index of the quantile among n values; -1 for n = 0
-        return (n * frac.numerator + frac.denominator - 1) // frac.denominator - 1
-
-    def answer(b: pa.Table, key_at, val_at, n_rows) -> pa.Table:
-        # a negative val_at gives a null q_val
-        return pa.table({key_col: b[key_col].take(pa.array(key_at, pa.int64())),
-                         "q_val": b[val_col].take(pa.array(val_at, pa.int64(), mask=val_at < 0)),
-                         "n_rows": pa.array(n_rows, pa.int64())})
-
-    slim = ds.map_batches(lambda b: b.select([key_col, val_col, id_col]),
-                          batch_format="pyarrow", zero_copy_batch=True)
-    sorted_ds = _range_sort(
-        slim, [(c, "ascending") for c in (key_col, val_col, id_col)]).materialize()
-
-    def pass1(b: pa.Table) -> pa.Table:
+    def pick(b: pa.Table) -> pa.Table:
         starts = np.flatnonzero(_group_starts(b, [key_col]))
-        cnt = np.diff(np.r_[starts, b.num_rows])
         valid = b[val_col].is_valid().to_numpy(zero_copy_only=False).astype(np.int64)
         nv = np.add.reduceat(valid, starts)
-        edge = np.isin(np.arange(len(starts)), [0, len(starts) - 1])
-        it, ee = np.flatnonzero(~edge), np.flatnonzero(edge)
-        # interior groups answer in place; edge segments feed the side
-        # channel, their q_val slot holding the block's first value
-        seg = np.r_[it, ee]
-        val_at = np.r_[np.where(nv > 0, starts + target(nv), -1)[it], np.zeros(len(ee), np.int64)]
-        out = answer(b, starts[seg], val_at, cnt[seg])
-        blk = int(b[id_col][0].as_py())
-        extra = {"kind": np.r_[np.zeros(len(it), np.int8), np.ones(len(ee), np.int8)],
-                 "n_valid": nv[seg], "__start": starts[seg], "__blk": np.full(len(seg), blk)}
-        for name, col in extra.items():
-            out = out.append_column(name, pa.array(col))
-        return out
+        # ascending index of the quantile among nv values; a group with no
+        # value gives a null q_val
+        val_at = starts + (nv * frac.numerator + frac.denominator - 1) // frac.denominator - 1
+        return pa.table({key_col: b[key_col].take(pa.array(starts, pa.int64())),
+                         "q_val": b[val_col].take(pa.array(val_at, pa.int64(), mask=nv == 0)),
+                         "n_rows": pa.array(np.diff(np.r_[starts, b.num_rows]), pa.int64())})
 
-    mixed = sorted_ds.map_batches(pass1, batch_format="pyarrow",
-                                  zero_copy_batch=True, batch_size=None).materialize()
-    none = np.zeros(0, np.int64)
-    if mixed.count() == 0:
-        return _answer(answer(_empty_input(ds), none, none, none))
-    interior = mixed.map_batches(
-        lambda b: b.filter(pc.equal(b["kind"], 0)).select([key_col, "q_val", "n_rows"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    side = pa.concat_tables(
-        [t for t in ray.get(mixed.filter(expr="kind == 1").to_arrow_refs()) if t.num_rows])
-    # global order of the edge segments: blocks by their first (key, val,
-    # id) row, which is the start of their segment 0; segments by start
-    first = side.filter(pc.equal(side["__start"], 0)).sort_by(
-        [(key_col, "ascending"), ("q_val", "ascending"), ("__blk", "ascending")])
-    blk_ids = first["__blk"].to_numpy()
-    by_id = np.argsort(blk_ids)
-    rank = by_id[np.searchsorted(blk_ids, side["__blk"].to_numpy(), sorter=by_id)]
-    side = side.take(pa.array(np.lexsort((side["__start"].to_numpy(), rank))))
-    new = _group_starts(side, [key_col])
-    g0, gid = np.flatnonzero(new), np.cumsum(new) - 1
-    start, n_rows, nv = (side[c].to_numpy() for c in ("__start", "n_rows", "n_valid"))
-    before = np.cumsum(nv) - nv
-    off = before - before[g0][gid]  # values in the group's earlier segments
-    t = target(np.add.reduceat(nv, g0))[gid]
-    # the segment holding the target; a group with no value answers null
-    # from its first segment
-    hit = ((off <= t) & (t < off + nv)) | (new & (t < 0))
-    val_at = np.where(t >= 0, start + t - off, -1)
-    todo: dict[int, list] = {}
-    for blk, row in zip(side["__blk"].to_numpy()[hit],
-                        zip(start[hit], val_at[hit], np.add.reduceat(n_rows, g0)[gid][hit])):
-        todo.setdefault(int(blk), []).append(row)
-    ref = ray.put({blk: np.array(rows, np.int64).T for blk, rows in todo.items()})
-
-    def pass2(b: pa.Table) -> pa.Table:
-        rows = ray.get(ref).get(int(b[id_col][0].as_py()))
-        return answer(b, none, none, none) if rows is None else answer(b, *rows)
-
-    gathered = sorted_ds.map_batches(pass2, batch_format="pyarrow",
-                                     zero_copy_batch=True, batch_size=None)
-    return gathered.union(interior)
+    return group_map(ds.select_columns([key_col, val_col]), [key_col], pick, order=[val_col])
 
 
 def sort_group_mode(ds, key_col: str, val_col: str):
@@ -838,7 +706,9 @@ def sort_group_mode(ds, key_col: str, val_col: str):
     value is a value that loses every tie."""
     pairs = partial_groupby(ds, [key_col, val_col],
                             [(val_col, "count", "mode_cnt")]).materialize()
-    val_t = _empty_input(pairs).schema.field(val_col).type
+    if pairs.schema() is None:  # an input with neither rows nor a schema
+        return pairs
+    val_t = pairs.schema().base_schema.field(val_col).type
     best = grouped_top_k(pairs, [key_col], "mode_cnt", 1, tie_col=val_col)
     totals = partial_groupby(pairs, [key_col], [("mode_cnt", "sum", "n_rows")])
 

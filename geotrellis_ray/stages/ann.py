@@ -23,6 +23,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .agg import each_group, group_map
+
 
 def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
     """list<float> column -> (n, d) float32 matrix (zero-copy flat values)."""
@@ -165,7 +167,6 @@ def embedding_near_dups(ds, threshold: float = 0.95, nbits: int = 12, id_col: st
         miss pairs separated by unrelated ids, unlike dedup's chained pairing
         which only needs connectivity. Buckets above ``cap`` rows fall back to
         sorted-adjacent chaining (quadratic guard for degenerate buckets)."""
-        g = g.sort_by(id_col)
         id_t = g.schema.field(id_col).type
         if g.num_rows < 2:
             return pa.table({"id_a": pa.array([], id_t), "id_b": pa.array([], id_t),
@@ -183,11 +184,8 @@ def embedding_near_dups(ds, threshold: float = 0.95, nbits: int = 12, id_col: st
         return pa.table({"id_a": pa.array(ids[ia], id_t), "id_b": pa.array(ids[ib], id_t),
                          "cosine": pa.array(cos, pa.float64())})
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lsh_bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    return group_map(ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True),
+                     ["lsh_bucket"], each_group(["lsh_bucket"], bucket_pairs), order=[id_col])
 
 
 def kmeans_lite(sample: np.ndarray, n_centroids: int, iters: int = 8, seed: int = 7) -> np.ndarray:
@@ -379,7 +377,6 @@ def semantic_dedup(ds, threshold: float = 0.97, n_centroids: int = 16,
             batch_format="pyarrow", zero_copy_batch=True)
 
     def dedup_cluster(g: pa.Table) -> pa.Table:
-        g = g.sort_by(id_col)
         m = _normalize(_batch_matrix(g, emb_col))
         keep = np.ones(g.num_rows, dtype=bool)
         keepers = np.empty((0, m.shape[1]), dtype=np.float32)
@@ -397,8 +394,8 @@ def semantic_dedup(ds, threshold: float = 0.97, n_centroids: int = 16,
             keepers = np.vstack([keepers, chunk[keep[lo:lo + cap]]])
         return pa.table({id_col: g[id_col], "cluster": g["cluster"], "keep": keep})
 
-    return assigned.groupby(["cluster", "sub"]).map_groups(
-        dedup_cluster, batch_format="pyarrow")
+    keys = ["cluster", "sub"]
+    return group_map(assigned, keys, each_group(keys, dedup_cluster), order=[id_col])
 
 
 # --- Product Quantization (round 3) ------------------------------------------

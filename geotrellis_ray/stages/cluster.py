@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .agg import each_group, group_map
+
 __all__ = ["eps_neighbor_pairs", "cluster_eps"]
 
 
@@ -61,8 +63,8 @@ def eps_neighbor_pairs(ds, eps: float, id_col: str = "pt_id",
         return pa.table({"id_a": pa.array(oi[ii], id_t), "id_b": pa.array(ai[jj], id_t)})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = exploded.groupby(["cell_x", "cell_y"]).map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    keys = ["cell_x", "cell_y"]
+    pairs = group_map(exploded, keys, each_group(keys, bucket_pairs))
     # a pair can surface from up to 3 shared buckets: grouped-first dedup
     from .agg import partial_groupby
 

@@ -32,6 +32,7 @@ import pyarrow as pa
 from ..core.raster import decode_tile, encode_tile
 from ..core.sfc import zorder
 from ._arrow_groups import ints, one_tile, tile_table, views
+from .agg import each_group, group_map
 
 _SQRT2 = float(np.sqrt(2.0))
 # 8-neighborhood: (dr, dc, move distance)
@@ -187,7 +188,8 @@ def _exchange_and_relax(ds, margin: int = 1, plane_col: str = "cost",
             "changed": (pa.bool_(), [changed]),
         })
 
-    return exploded.groupby(["t_col", "t_row"]).map_groups(assemble, batch_format="pyarrow")
+    keys = ["t_col", "t_row"]
+    return group_map(exploded, keys, each_group(keys, assemble))
 
 
 def cost_distance(friction_ds, source_cells, max_rounds: int = 64):

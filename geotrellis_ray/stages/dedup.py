@@ -6,13 +6,17 @@ All variants follow the same scale shape:
 - exact:   vectorized content hash per batch -> groupby(hash) -> keep min id.
   Hash-partitioned shuffle moves only (hash, id) pairs, not text.
 - minhash: shingle->minhash per batch (actor pool) -> explode to
-  (band, band_hash, id) rows -> ONE range sort co-locates buckets ->
-  vectorized adjacent-pair extraction (block boundaries stitched from an
-  O(blocks) side channel) -> signature-agreement verify -> connected
-  components (driver union-find over the sparse edge set; distributed
-  min-label propagation above a threshold).
+  (band, band_hash, id) rows -> ONE ``agg.group_map`` co-locates buckets,
+  each block holding whole buckets -> vectorized adjacent-pair extraction
+  -> signature-agreement verify -> connected components (driver union-find
+  over the sparse edge set; distributed min-label propagation above a
+  threshold).
 - simhash: 4x16-bit band blocking -> candidate pairs -> Hamming verify.
 - embedding cosine near-dup lives in stages/ann.py (same bucketing idea).
+
+Every grouping sort here (LSH buckets, simhash bands, exact-substring
+docs, paragraph docs) is ``group_map``: nothing reaches the driver to
+repair a group split across blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import (
     hamming64,
@@ -151,100 +156,23 @@ class MinHasher:
         )
 
 
-def _block_adjacent_pairs(batch: pa.Table, id_col: str) -> pa.Table:
-    """Vectorized per-block pair extraction over a bucket-sorted stream.
+def _bucket_pairs(band_rows, id_col: str):
+    """(id_col, band, band_hash) rows -> (id_a, id_b) chaining every LSH
+    bucket: ONE ``group_map`` on (band, band_hash) with the id as the local
+    order, then each row pairs with its predecessor in the bucket, which
+    connects the bucket's docs. A block holds whole buckets, so the pairing
+    is vectorized per block and nothing is stitched on the driver."""
+    from .agg import _group_starts, group_map
 
-    Emits kind=0 rows pairing each row with its predecessor when both share
-    (band, band_hash) — chains every bucket segment inside the block — plus
-    kind=1 rows for the block's first and last record. After a global range
-    sort, bucket rows are contiguous, so every segment of a bucket that spans
-    blocks touches a block edge; chaining the (tiny, 2-per-block) boundary
-    rows therefore reconnects cross-block segments without per-group calls.
-    """
-    n = batch.num_rows
-    empty = pa.table(
-        {"kind": pa.array([], pa.int8()),
-         "id_a": pa.array([], batch.schema.field(id_col).type),
-         "id_b": pa.array([], batch.schema.field(id_col).type),
-         "band": pa.array([], pa.int32()), "band_hash": pa.array([], pa.uint64()),
-         "blk": pa.array([], pa.int64())}
-    )
-    if n == 0:
-        return empty
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
-    band = batch["band"].to_numpy(zero_copy_only=False)
-    bhash = batch["band_hash"].to_numpy(zero_copy_only=False)
-    same = (band[1:] == band[:-1]) & (bhash[1:] == bhash[:-1]) & (ids[1:] != ids[:-1])
-    idx = np.nonzero(same)[0]
-    parts = [
-        pa.table(
-            {
-                "kind": pa.array(np.zeros(len(idx), dtype=np.int8), pa.int8()),
-                "id_a": pa.array(ids[idx]),
-                "id_b": pa.array(ids[idx + 1]),
-                "band": pa.array(band[idx].astype(np.int32), pa.int32()),
-                "band_hash": pa.array(bhash[idx].astype(np.uint64), pa.uint64()),
-                "blk": pa.array(np.zeros(len(idx), dtype=np.int64), pa.int64()),
-            }
-        )
-    ]
-    # blk tags the source block so the driver stitch never re-pairs two
-    # boundary rows from the SAME block (those pairs, if any, were already
-    # emitted as kind=0 above). The bare first-row id is NOT unique across
-    # blocks (a doc emits one row per band, so two adjacent blocks can start
-    # with the same id under different buckets, which would silently suppress
-    # a genuine cross-block pair). The full (band, band_hash, id) triple of
-    # the first row IS unique per block in a sorted stream — hash it.
-    edge = [0, n - 1] if n > 1 else [0]
-    blk_tag = int.from_bytes(
-        hashlib.sha256(
-            f"{int(band[0])}|{int(bhash[0])}|{ids[0]!r}".encode()
-        ).digest()[:8],
-        "big",
-        signed=True,
-    )
-    parts.append(
-        pa.table(
-            {
-                "kind": pa.array(np.ones(len(edge), dtype=np.int8), pa.int8()),
-                "id_a": pa.array(ids[edge]),
-                "id_b": pa.array(ids[edge]),
-                "band": pa.array(band[edge].astype(np.int32), pa.int32()),
-                "band_hash": pa.array(bhash[edge].astype(np.uint64), pa.uint64()),
-                "blk": pa.array(np.full(len(edge), blk_tag, dtype=np.int64), pa.int64()),
-            }
-        )
-    )
-    return pa.concat_tables(parts)
+    def chain(b: pa.Table) -> pa.Table:
+        ids = b[id_col]
+        same = ~_group_starts(b, ["band", "band_hash"])[1:]
+        same &= pc.not_equal(ids.slice(1), ids.slice(0, max(len(ids) - 1, 0))).to_numpy(
+            zero_copy_only=False)
+        idx = pa.array(np.flatnonzero(same), pa.int64())
+        return pa.table({"id_a": ids.take(idx), "id_b": ids.take(pc.add(idx, 1))})
 
-
-def _stitch_boundary_rows(boundary) -> "pa.Table | None":
-    """Driver-side O(#blocks) stitch: pair adjacent kind=1 boundary rows that
-    share (band, band_hash) but come from DIFFERENT blocks (same-block pairs
-    were already emitted in-block as kind=0). Returns a pairs table or None.
-    Extracted so tests can drive it with adversarial block splits."""
-    if len(boundary) <= 1:
-        return None
-    boundary = boundary.sort_values(["band", "band_hash", "id_a"], kind="stable")
-    bb = boundary.reset_index(drop=True)
-    same = (
-        (bb["band"].to_numpy()[1:] == bb["band"].to_numpy()[:-1])
-        & (bb["band_hash"].to_numpy()[1:] == bb["band_hash"].to_numpy()[:-1])
-        & (bb["id_a"].to_numpy()[1:] != bb["id_a"].to_numpy()[:-1])
-        & (bb["blk"].to_numpy()[1:] != bb["blk"].to_numpy()[:-1])
-    )
-    idx = np.nonzero(same)[0]
-    if not len(idx):
-        return None
-    return pa.table(
-        {
-            "kind": pa.array(np.zeros(len(idx), dtype=np.int8), pa.int8()),
-            "id_a": pa.array(bb["id_a"].to_numpy()[idx]),
-            "id_b": pa.array(bb["id_a"].to_numpy()[idx + 1]),
-            "band": pa.array(bb["band"].to_numpy()[idx].astype(np.int32), pa.int32()),
-            "band_hash": pa.array(bb["band_hash"].to_numpy()[idx].astype(np.uint64), pa.uint64()),
-        }
-    )
+    return group_map(band_rows, ["band", "band_hash"], chain, order=[id_col])
 
 
 _PAIR_BROADCAST_MAX = 25_000  # pairs; ~2x that many texts gathered at most
@@ -339,17 +267,15 @@ def minhash_candidate_pairs(ds, num_perm: int = 64, bands: int = 16, ngram: int 
     """Docs -> candidate pairs with est_jaccard (= minhash signature
     agreement). Scale shape (re-validated by the 2M-doc rehearsal):
 
-    1. ONE range sort co-locates buckets — over SLIM band rows only
+    1. ONE ``group_map`` co-locates buckets — over SLIM band rows only
        (id, band, band_hash; no signatures);
-    2. vectorized adjacent-pair extraction per block, O(#blocks) boundary
-       stitch on the driver;
+    2. vectorized adjacent-pair extraction per block of whole buckets
+       (``_bucket_pairs``);
     3. pairs dedupe to one row per (id_a, id_b) BEFORE any join;
     4. est_jaccard via two pair->text joins + per-pair signature
        recompute — the corpus text ships once per join, the (sparse) pair
        stream carries everything else.
     Never materializes signatures corpus-wide."""
-    import ray.data
-
     from .agg import partial_groupby
 
     if concurrency is None:
@@ -361,25 +287,12 @@ def minhash_candidate_pairs(ds, num_perm: int = 64, bands: int = 16, ngram: int 
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=batch_size, concurrency=concurrency,
     )
-    mixed = (
-        band_rows.sort(["band", "band_hash", id_col])
-        .map_batches(lambda b: _block_adjacent_pairs(b, id_col),
-                     batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-    pairs = mixed.filter(expr="kind == 0").drop_columns(["blk"])
-    boundary = mixed.filter(expr="kind == 1").to_pandas()  # 2 rows per block
-    cross = _stitch_boundary_rows(boundary)
-    if cross is not None:
-        pairs = pairs.union(ray.data.from_arrow(cross))
+    pairs = _bucket_pairs(band_rows, id_col)
 
     # one row per pair BEFORE the text joins (a pair can surface from
     # several bands)
-    unique_pairs = partial_groupby(
-        pairs.map_batches(lambda b: b.select(["id_a", "id_b"]),
-                          batch_format="pyarrow", zero_copy_batch=True),
-        ["id_a", "id_b"], [("id_a", "count", "n_bands")],
-    ).drop_columns(["n_bands"])
+    unique_pairs = partial_groupby(pairs, ["id_a", "id_b"],
+                                   [("id_a", "count", "n_bands")]).drop_columns(["n_bands"])
     if not with_est:
         # callers that re-verify exactly anyway (ngram-jaccard path) skip the
         # two est joins entirely
@@ -541,8 +454,7 @@ def _hamming_bucket_pairs_np(key: np.ndarray, ids: np.ndarray, v: np.ndarray,
         if n < 2:
             continue
         bi, bv = ids[start:end], v[start:end]
-        # drop in-bucket duplicate ids (a doc appears once per band, but the
-        # stitch path can concatenate overlapping fragments)
+        # drop in-bucket duplicate ids (an input may repeat a doc)
         _u, first = np.unique(bi, return_index=True)
         if len(first) < n:
             bi, bv = bi[np.sort(first)], bv[np.sort(first)]
@@ -579,14 +491,11 @@ def hamming_band_pairs(hash_ds, hash_col: str, id_col: str = "doc_id",
     one of 4 bands — pigeonhole), ALL-pairs Hamming verify in-bucket.
     Shared by simhash text near-dups and dHash image near-dups.
 
-    Execution shape (r03 rewrite, 2.4x measured): ONE range sort over slim
-    band rows, then a per-BLOCK vectorized bucket scan (np.unique bounds +
-    triu all-pairs inside one map_batches — not one map_groups task per
-    bucket; ~17k tiny buckets made map_groups the whole wall). Buckets
-    split across block boundaries are re-verified exactly: every block
-    contributes its first and last bucket to a small boundary side table
-    whose buckets are re-scanned whole; duplicate pair findings collapse in
-    the grouped-MIN final."""
+    Execution shape (r03 rewrite, 2.4x measured): ONE ``group_map`` over
+    slim band rows, then a per-BLOCK vectorized bucket scan (bucket bounds +
+    triu all-pairs over the block's whole buckets — not one call per
+    bucket; ~17k tiny buckets made per-group calls the whole wall).
+    Duplicate pair findings collapse in the grouped-MIN final."""
 
     def explode(batch: pa.Table) -> pa.Table:
         v = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -608,79 +517,20 @@ def hamming_band_pairs(hash_ds, hash_col: str, id_col: str = "doc_id",
             }
         )
 
-    slim = hash_ds.map_batches(explode, batch_format="pyarrow",
-                               zero_copy_batch=True).sort("bkey")
-
-    import ray.data as rd
-
-    def block_scan(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.uint64()),
-                             "boundary_key": pa.array([], pa.int64()),
-                             "boundary_id": pa.array([], pa.int64()),
-                             "boundary_hash": pa.array([], pa.uint64())})
-        key = b["bkey"].to_numpy(zero_copy_only=False)
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), np.int64)
-        v = b[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        a_, b_, h_ = _hamming_bucket_pairs_np(key, ids, v, max_hamming)
-        # boundary side rows: the block's first and last bucket, whole
-        edge = (key == key[0]) | (key == key[-1])
-        n_pairs, n_edge = len(a_), int(edge.sum())
-        m = max(n_pairs, n_edge)
-
-        def pad(x, fill, dt):
-            o = np.full(m, fill, dt)
-            o[:len(x)] = x
-            return o
-
-        return pa.table({
-            "id_a": pa.array(pad(a_, -1, np.int64), pa.int64()),
-            "id_b": pa.array(pad(b_, -1, np.int64), pa.int64()),
-            "hamming": pa.array(pad(h_.astype(np.int64), 0, np.int64), pa.int64()),
-            "boundary_key": pa.array(pad(key[edge], -1, np.int64), pa.int64()),
-            "boundary_id": pa.array(pad(ids[edge], -1, np.int64), pa.int64()),
-            "boundary_hash": pa.array(
-                pad(v[edge].view(np.int64), 0, np.int64), pa.int64()),
-        })
-
-    scanned = slim.map_batches(block_scan, batch_format="pyarrow",
-                               zero_copy_batch=True,
-                               batch_size=None).materialize()
-    pairs = scanned.map_batches(
-        lambda b: b.filter(pa.compute.greater_equal(b["id_a"], 0))
-        .select(["id_a", "id_b", "hamming"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    # boundary buckets: tiny (2 buckets/block) — project them OUT on the
-    # cluster side first, then re-verify whole on the driver (boundary
-    # volume only; the pair stream never leaves the cluster)
-    bnd = scanned.map_batches(
-        lambda b: b.filter(pa.compute.greater_equal(b["boundary_id"], 0))
-        .select(["boundary_key", "boundary_id", "boundary_hash"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    btab = pa.concat_tables(
-        list(bnd.iter_batches(batch_format="pyarrow")),
-        promote_options="default")
-    if btab.num_rows:
-        key = btab["boundary_key"].to_numpy(zero_copy_only=False)
-        order = np.argsort(key, kind="stable")
+    def scan(b: pa.Table) -> pa.Table:
         a_, b_, h_ = _hamming_bucket_pairs_np(
-            key[order],
-            np.asarray(btab["boundary_id"].to_numpy(zero_copy_only=False),
-                       np.int64)[order],
-            btab["boundary_hash"].to_numpy(zero_copy_only=False)
-            .view(np.int64).astype(np.uint64)[order],
-            max_hamming)
-        if len(a_):
-            pairs = pairs.union(rd.from_arrow(pa.table({
-                "id_a": pa.array(a_, pa.int64()),
-                "id_b": pa.array(b_, pa.int64()),
-                "hamming": pa.array(h_.astype(np.int64), pa.int64())})))
-    # a pair can surface from several bands (and from the stitch) with the
-    # same hamming: grouped MIN dedup
-    from .agg import partial_groupby
+            b["bkey"].to_numpy(zero_copy_only=False),
+            np.asarray(b[id_col].to_numpy(zero_copy_only=False), np.int64),
+            b[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64), max_hamming)
+        return pa.table({"id_a": pa.array(a_, pa.int64()), "id_b": pa.array(b_, pa.int64()),
+                         "hamming": pa.array(h_.astype(np.int64), pa.int64())})
 
+    from .agg import group_map, partial_groupby
+
+    slim = hash_ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = group_map(slim, ["bkey"], scan)
+    # a pair can surface from several bands with the same hamming: grouped
+    # MIN dedup
     return partial_groupby(pairs, ["id_a", "id_b"], [("hamming", "min", "hamming")])
 
 
@@ -741,7 +591,6 @@ def duplicated_spans(ds, window: int = 40, stride: int = 20, min_count: int = 2,
     ``key="hash"`` groups on a 64-bit hash — at 100 TB the shuffle then
     carries 8 bytes/span instead of ``window`` bytes (collisions ~ 2^-64 per
     pair; re-verify via a pair join when it matters)."""
-    import pyarrow.compute as pc
 
     from .agg import partial_groupby
 
@@ -832,13 +681,11 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
     3. re-explode (recompute beats materializing the fat stream) and join
        the dup set back to (doc, off) rows — join output is dup-volume,
        not corpus-volume;
-    4. ONE range sort by (doc, off), vectorized per-block interval merge,
-       block-edge spans (2/block) stitched on the driver — same O(#blocks)
-       side-channel pattern as the LSH candidate stitch.
+    4. ONE ``group_map`` on the doc with the offset as the local order:
+       each block merges the covered windows of its whole docs, vectorized.
     """
-    import pyarrow.compute as pc
 
-    from .agg import partial_groupby
+    from .agg import _group_starts, group_map, partial_groupby
     from .join import spatial_join
 
     gcol = "g" if key == "text" else "gh"
@@ -909,53 +756,20 @@ def exact_substring_spans(ds, min_len: int = 40, min_count: int = 2,
                                        "span_end": pa.array([], pa.int64())}))
     covered = spatial_join(grams, counts, on=(gcol,))
 
-    covered = covered.select_columns([id_col, "off"]).sort([id_col, "off"])
 
-    def merge_block(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        id_t = b.schema.field(id_col).type
-        if n == 0:
-            return pa.table({"kind": pa.array([], pa.int8()),
-                             id_col: pa.array([], id_t),
-                             "span_start": pa.array([], pa.int64()),
-                             "span_end": pa.array([], pa.int64())})
-        ids = b[id_col].to_numpy(zero_copy_only=False)
+    def merge(b: pa.Table) -> pa.Table:
+        # a doc's covered offsets are whole in the block: runs of windows
+        # at most min_len apart merge into one maximal span
         offs = b["off"].to_numpy(zero_copy_only=False)
-        brk = (ids[1:] != ids[:-1]) | (offs[1:] - offs[:-1] > min_len)
-        bidx = np.nonzero(brk)[0]
-        starts = np.r_[0, bidx + 1]
-        ends = np.r_[bidx, n - 1]
-        kind = np.zeros(len(starts), dtype=np.int8)
-        kind[0] = 1
-        kind[-1] = 1  # block-edge spans may continue in neighbor blocks
-        return pa.table({"kind": pa.array(kind, pa.int8()),
-                         id_col: pa.array(ids[starts]),
+        brk = _group_starts(b, [id_col])
+        brk[1:] |= offs[1:] - offs[:-1] > min_len
+        starts = np.flatnonzero(brk)
+        ends = np.r_[starts[1:], b.num_rows] - 1
+        return pa.table({id_col: b[id_col].take(pa.array(starts, pa.int64())),
                          "span_start": pa.array(offs[starts], pa.int64()),
                          "span_end": pa.array(offs[ends] + min_len, pa.int64())})
 
-    spans = covered.map_batches(merge_block, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
-    inner = spans.filter(expr="kind == 0").drop_columns(["kind"])
-    edge = spans.filter(expr="kind == 1").to_pandas()  # 2 rows per block
-    if len(edge):
-        edge = edge.sort_values([id_col, "span_start"], kind="stable")
-        ids = edge[id_col].to_numpy()
-        s = edge["span_start"].to_numpy()
-        e = edge["span_end"].to_numpy()
-        merged_ids, merged_s, merged_e = [], [], []
-        for i in range(len(edge)):
-            if merged_ids and merged_ids[-1] == ids[i] and s[i] <= merged_e[-1]:
-                merged_e[-1] = max(merged_e[-1], int(e[i]))
-            else:
-                merged_ids.append(ids[i])
-                merged_s.append(int(s[i]))
-                merged_e.append(int(e[i]))
-        stitched = pa.table({id_col: pa.array(merged_ids),
-                             "span_start": pa.array(merged_s, pa.int64()),
-                             "span_end": pa.array(merged_e, pa.int64())})
-        import ray.data as rd
-        inner = inner.union(rd.from_arrow(stitched))
-    return inner
+    return group_map(covered.select_columns([id_col, "off"]), [id_col], merge, order=["off"])
 
 
 # --- benchmark decontamination (round 3) -------------------------------------
@@ -978,7 +792,6 @@ def decontaminate(ds, bench_ds, gram_len: int = 50, id_col: str = "doc_id",
     Hash membership stands in for string equality (64-bit polynomial,
     2^-64/pair collision odds — same contract as exact_substring_spans'
     key='hash' path)."""
-    import pyarrow.compute as pc
     import ray
 
     from .agg import partial_groupby
@@ -1057,51 +870,24 @@ def _check_packable_ids(ids: "np.ndarray") -> None:
 def _packed_to_kept_csv(kept, id_col: str, idx_bits: int = _PARA_IDX_BITS):
     """(packed)-only Dataset -> (id_col, kept_csv) where kept_csv is the
     doc's surviving chunk indices in order, as a csv string (primitive
-    columns survive every Ray join/pandas path). ONE range sort, per-block
-    per-doc run extraction, block-edge docs stitched on the driver
-    (O(#blocks) rows — same pattern as exact_substring_spans)."""
-    import ray.data as rd
+    columns survive every Ray join/pandas path). ONE ``group_map`` on the
+    doc id unpacked from ``packed``, with ``packed`` as the local order;
+    each block joins the chunk indices of its whole docs."""
+    from .agg import _group_starts, group_map
 
-    idx_mask = (1 << idx_bits) - 1
-    sorted_kept = kept.sort("packed")
+    def unpack(b: pa.Table) -> pa.Table:
+        return b.append_column(id_col, pc.shift_right(b["packed"], idx_bits))
 
-    def block_assemble(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return pa.table({"kind": pa.array([], pa.int8()),
-                             id_col: pa.array([], pa.int64()),
-                             "kept_csv": pa.array([], pa.string())})
-        packed = b["packed"].to_numpy(zero_copy_only=False)
-        ids = packed >> idx_bits
-        idxs = packed & idx_mask
-        brk = np.nonzero(ids[1:] != ids[:-1])[0]
-        starts = np.r_[0, brk + 1]
-        ends = np.r_[brk + 1, n]
-        kind = np.zeros(len(starts), dtype=np.int8)
-        kind[0] = 1
-        kind[-1] = 1  # edge docs may continue in neighbor blocks
-        csvs = [",".join(map(str, idxs[s:e])) for s, e in zip(starts, ends)]
-        return pa.table({"kind": pa.array(kind, pa.int8()),
-                         id_col: pa.array(ids[starts], pa.int64()),
-                         "kept_csv": pa.array(csvs, pa.string())})
+    def assemble(b: pa.Table) -> pa.Table:
+        idxs = b["packed"].to_numpy(zero_copy_only=False) & ((1 << idx_bits) - 1)
+        starts = np.flatnonzero(_group_starts(b, [id_col]))
+        ends = np.r_[starts[1:], b.num_rows]
+        return pa.table({id_col: b[id_col].take(pa.array(starts, pa.int64())),
+                         "kept_csv": pa.array([",".join(map(str, idxs[s:e]))
+                                               for s, e in zip(starts, ends)], pa.string())})
 
-    lists = sorted_kept.map_batches(block_assemble, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
-    inner = lists.filter(expr="kind == 0").drop_columns(["kind"])
-    edge = lists.filter(expr="kind == 1").to_pandas()  # <= 2 rows per block
-    if len(edge):
-        # rows arrive sorted within each block; order blocks by first idx
-        edge["first_idx"] = edge["kept_csv"].str.split(",").str[0].astype(np.int64)
-        edge = edge.sort_values([id_col, "first_idx"], kind="stable")
-        merged: dict[int, list[str]] = {}
-        for did, csv in zip(edge[id_col].to_numpy(), edge["kept_csv"]):
-            merged.setdefault(int(did), []).append(csv)
-        stitched = pa.table({
-            id_col: pa.array(list(merged), pa.int64()),
-            "kept_csv": pa.array([",".join(v) for v in merged.values()], pa.string()),
-        })
-        inner = inner.union(rd.from_arrow(stitched))
-    return inner
+    keyed = kept.map_batches(unpack, batch_format="pyarrow", zero_copy_batch=True)
+    return group_map(keyed, [id_col], assemble, order=["packed"])
 
 
 def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
@@ -1126,14 +912,13 @@ def paragraph_dedup(ds, words_per_para: int = 12, id_col: str = "doc_id",
     2. winner per paragraph = min(packed) via partial_groupby (map-side
        combine; its merge is picked by size — cardinality is unbounded).
     3. join winners back to the slim row stream; kept = packed == win.
-    4. ONE range sort of the kept (packed)-only rows, per-block per-doc
-       kept-index assembly (idx list as a csv string — primitive columns
-       survive every Ray join/pandas path), block-edge docs stitched on the
-       driver (O(#blocks) rows, same pattern as exact_substring_spans).
+    4. ONE ``group_map`` of the kept (packed)-only rows on the doc,
+       per-doc kept-index assembly (idx list as a csv string — primitive
+       columns survive every Ray join/pandas path); a block holds whole
+       docs (``_packed_to_kept_csv``).
     5. inner join the original docs x (doc_id, kept csv) (text ships
        once per doc), then a vectorized-ish re-split + take + join per row.
     """
-    import pyarrow.compute as pc
 
     from .agg import partial_groupby
     from .join import spatial_join
@@ -1224,12 +1009,11 @@ def line_frequency_filter(ds, min_count: int = 2, delim: str = "\n",
        merge picked by size — line cardinality is unbounded).
     3. join counts back to the slim rows; kept = count < min_count.
     4. kept (packed) rows -> (doc, kept csv) via _packed_to_kept_csv
-       (ONE range sort + O(#blocks) driver stitch).
+       (ONE ``group_map`` on the doc).
     5. inner join with the original docs, vectorized-ish re-split +
        take per row; n_lines is recomputed from the joined text (free —
        the text is already in hand), so the shuffled rows never carry it.
     """
-    import pyarrow.compute as pc
 
     from .agg import partial_groupby
     from .join import spatial_join
@@ -1381,7 +1165,6 @@ def bloom_dedup(new_ds, ref_ds, id_col: str = "doc_id", text_col: str = "text",
 
     probed = new_ds.map_batches(probe, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    import pyarrow.compute as pc
 
     clear = probed.map_batches(
         lambda b: b.filter(pc.invert(b["bloom_hit"])).drop_columns(["bloom_hit"]),

@@ -30,6 +30,7 @@ from ..core.layout import LayoutDefinition
 from ..core.raster import cell_centers, encode_tile
 from ..core.sfc import zorder
 from ._arrow_groups import one_tile
+from .agg import each_group, group_map
 
 
 def _kernel_weights(kernel: str, radius: int) -> np.ndarray:
@@ -111,9 +112,6 @@ def kernel_density(ds, layout: LayoutDefinition, radius: int = 8,
         kr = g["key_row"][0].as_py()
         tile = np.zeros((tr, tc))
         x0, y0 = kc * tc, kr * tr  # tile origin in global cell coords
-        # deterministic stamp order regardless of shuffle arrival order
-        # (sort_by is stable)
-        g = g.sort_by([("gcy", "ascending"), ("gcx", "ascending")])
         for gx, gy, w in zip(g["gcx"].to_numpy(), g["gcy"].to_numpy(),
                              g["w"].to_numpy()):
             cx, cy = int(gx - x0), int(gy - y0)  # stamp centre, tile-local
@@ -129,8 +127,9 @@ def kernel_density(ds, layout: LayoutDefinition, radius: int = 8,
         return one_tile(kc, kr, *encode_tile(tile))
 
     exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    return exploded.groupby(["key_col", "key_row"]).map_groups(
-        paint, batch_format="pyarrow")
+    keys = ["key_col", "key_row"]
+    # (gcy, gcx): a deterministic stamp order regardless of shuffle arrival
+    return group_map(exploded, keys, each_group(keys, paint), order=["gcy", "gcx"])
 
 
 def _keys_dataset(layout: LayoutDefinition, key_bounds):

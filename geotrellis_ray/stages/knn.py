@@ -4,8 +4,8 @@ Re-expresses ref:spark/src/main/scala/geotrellis/spark/knn/KNearestRDD.scala
 (takeOrdered(k) with distance ordering, L:unverified — /root/reference empty
 at survey time; SURVEY.md §2.4) in three Ray-native shapes:
 
-1. ``knn_single``: global top-k = per-batch partial top-k (map_batches)
-   -> tiny sort+limit. Only k rows per block ever shuffle.
+1. ``knn_single``: global top-k = keyless ``grouped_top_k``: per-batch
+   partial top-k, then one small merge. Only k rows per block ever move.
 2. ``knn_multi``: many queries at once — broadcast the query matrix, compute
    the per-batch distance matrix vectorized (numpy), keep per-batch top-k per
    query, then ``grouped_top_k`` per query over the k x blocks rows.
@@ -29,21 +29,18 @@ from ..core.mercator import haversine_m
 
 def knn_single(ds, qlat: float, qlon: float, k: int, id_col: str = "url"):
     """k nearest rows to one query point -> small Dataset (id, lat, lon,
-    dist_m), ascending by (dist_m, id)."""
+    dist_m), ascending by (dist_m, id): keyless ``grouped_top_k``, whose
+    per-batch top-k keeps only k rows per block."""
+    from .agg import grouped_top_k
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        d = haversine_m(lat, lon, qlat, qlon)
-        batch = batch.append_column("dist_m", pa.array(d, pa.float64()))
-        if len(batch) > k:
-            idx = np.argpartition(d, k)[:k]
-            batch = batch.take(pa.array(np.sort(idx), pa.int64()))
-        return batch
+    def dist(batch: pa.Table) -> pa.Table:
+        d = haversine_m(batch["lat"].to_numpy(zero_copy_only=False),
+                        batch["lon"].to_numpy(zero_copy_only=False), qlat, qlon)
+        return batch.append_column("dist_m", pa.array(d, pa.float64()))
 
-    return ds.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True).sort(
-        ["dist_m", id_col]
-    ).limit(k)
+    near = ds.map_batches(dist, batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_top_k(near, [], "dist_m", k, descending=False,
+                         tie_col=id_col).drop_columns(["rank"])
 
 
 def knn_multi(ds, queries: pd.DataFrame, k: int, id_col: str = "url", metric: str = "haversine"):

@@ -25,6 +25,7 @@ import pyarrow as pa
 from ..core.raster import INT_NODATA, decode_tile, encode_tile, merge as tile_merge
 from ..core.sfc import zorder
 from ._arrow_groups import ints, one_tile, tile_table, views
+from .agg import each_group, group_map
 
 TILE_COLS = ["key_col", "key_row", "sfc", "cells", "cols", "rows", "cell_type"]
 
@@ -157,7 +158,6 @@ def merge_layers(ds_a, ds_b):
     )
 
     def merge_group(g: pa.Table) -> pa.Table:
-        g = g.sort_by("side")
         cols = int(g["cols"][0].as_py()); rows = int(g["rows"][0].as_py())
         ct = g["cell_type"][0].as_py()
         cv = views(g, "cells")
@@ -168,7 +168,8 @@ def merge_layers(ds_a, ds_b):
         return one_tile(int(g["key_col"][0].as_py()), int(g["key_row"][0].as_py()),
                         cells, c, r, ct2, sfc=int(g["sfc"][0].as_py()))
 
-    return u.groupby(["key_col", "key_row"]).map_groups(merge_group, batch_format="pyarrow")
+    keys = ["key_col", "key_row"]
+    return group_map(u, keys, each_group(keys, merge_group), order=["side"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,8 @@ def buffer_tiles(ds, margin: int = 1):
         cells, cc, rr, ct = encode_tile(out)
         return one_tile(c, r, cells, cc, rr, ct)
 
-    return exploded.groupby(["t_col", "t_row"]).map_groups(assemble, batch_format="pyarrow")
+    keys = ["t_col", "t_row"]
+    return group_map(exploded, keys, each_group(keys, assemble))
 
 
 def focal_op(ds, op: str = "mean", margin: int = 1,

@@ -14,6 +14,7 @@ import pyarrow as pa
 from ..core.raster import decode_tile, downsample_average_2x, encode_tile, is_nodata
 from ..core.sfc import zorder
 from ._arrow_groups import ints, one_tile, views
+from .agg import each_group, group_map
 
 
 def parent_keys_batch(batch: pa.Table) -> pa.Table:
@@ -51,9 +52,8 @@ def merge_children_group(g: pa.Table) -> pa.Table:
 def pyramid_up(tiles_ds):
     """One pyramid level up: tile layer at zoom z -> layer at z-1."""
     withp = tiles_ds.map_batches(parent_keys_batch, batch_format="pyarrow", zero_copy_batch=True)
-    return withp.groupby(["parent_col", "parent_row"]).map_groups(
-        merge_children_group, batch_format="pyarrow"
-    )
+    keys = ["parent_col", "parent_row"]
+    return group_map(withp, keys, each_group(keys, merge_children_group))
 
 
 def pyramid_up_counts(tiles_ds, count_cols=("n_docs",)):

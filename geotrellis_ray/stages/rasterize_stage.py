@@ -1,7 +1,7 @@
 """RasterizeRDD equivalent: burn a geometry table into a keyed tile layer.
 
 Shape (SURVEY.md §2.5): ClipToGrid-style explode (map_batches, no shuffle)
--> ``groupby(key).map_groups(paint)`` where paint is the numpy cell-center
+-> ``agg.group_map`` on the key, one ``paint`` per tile group, where paint is the numpy cell-center
 scanline fill in deterministic z-index/value priority order (z tie -> larger
 value wins — OUR spec, FIXTURES.md §4). Salting applies per (key, salt) with
 an associative tile ``merge`` afterwards when a key is hot — paint order
@@ -22,7 +22,10 @@ from ..core.layout import LayoutDefinition
 from ..core.raster import encode_tile, rasterize_value
 from ..core.sfc import zorder
 from ._arrow_groups import ints, one_tile, tile_table, views
+from .agg import each_group, group_map
 from .clip import clip_to_grid_batch
+
+_KEYS = ["key_col", "key_row"]
 
 
 def _group_geoms(g: pa.Table) -> list[tuple[dict, int, float]]:
@@ -86,9 +89,7 @@ def rasterize_features(ds, layout: LayoutDefinition, wkb_col: str = "wkb",
         zero_copy_batch=True,
     )
     if salt_k <= 0:
-        return exploded.groupby(["key_col", "key_row"]).map_groups(
-            lambda g: paint_group(g, layout), batch_format="pyarrow"
-        )
+        return group_map(exploded, _KEYS, each_group(_KEYS, lambda g: paint_group(g, layout)))
 
     from ..core.raster import decode_tile, zmerge
     from .tile_agg import measure_hot_keys
@@ -115,9 +116,9 @@ def rasterize_features(ds, layout: LayoutDefinition, wkb_col: str = "wkb",
         return b.append_column("salt", pa.array(salt, pa.int32()))
 
     salted = exploded.map_batches(salt_batch, batch_format="pyarrow", zero_copy_batch=True)
-    shards = salted.groupby(["key_col", "key_row", "salt"]).map_groups(
-        lambda g: paint_group_salted(g, layout), batch_format="pyarrow"
-    )
+    shard_keys = _KEYS + ["salt"]
+    shards = group_map(salted, shard_keys,
+                       each_group(shard_keys, lambda g: paint_group_salted(g, layout)))
 
     def zmerge_group(g: pa.Table) -> pa.Table:
         cols = int(g["cols"][0].as_py()); rows = int(g["rows"][0].as_py())
@@ -134,4 +135,4 @@ def rasterize_features(ds, layout: LayoutDefinition, wkb_col: str = "wkb",
         cells, cc, rr, ct2 = encode_tile(out)
         return one_tile(c, r, cells, cc, rr, ct2)
 
-    return shards.groupby(["key_col", "key_row"]).map_groups(zmerge_group, batch_format="pyarrow")
+    return group_map(shards, _KEYS, each_group(_KEYS, zmerge_group))

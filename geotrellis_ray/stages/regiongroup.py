@@ -7,9 +7,9 @@ Distributed shape (the classic two-level CCL):
 1. per-tile labeling (map_batches, no shuffle): run-based two-pass union-find
    over rows — Python loops over RUNS, never cells; labels are globally
    unique by construction (tile-index << 18 | local-label).
-2. tile edges (1 row of values+labels per shared border side) meet in a
-   groupby((dir, edge_col, edge_row)) of size <= 2; equal adjacent values
-   emit label-equivalence pairs. The edge stream is O(tiles x tile_edge),
+2. tile edges (1 row of values+labels per shared border side) meet in one
+   ``agg.group_map`` on (dir, edge_col, edge_row), groups of size <= 2;
+   equal adjacent values emit label-equivalence pairs. The edge stream is O(tiles x tile_edge),
    ~2 KB/tile — negligible next to the layer.
 3. equivalences union-find on the driver (component = min global label —
    deterministic). At extreme scales swap in the distributed min-label
@@ -24,7 +24,6 @@ Output tiles are int64 label cells, NoData = -1 (not part of any region).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core.raster import decode_tile, is_nodata
@@ -150,82 +149,27 @@ def _border_eq_pairs(v0: bytes, v1: bytes, l0: bytes, l1: bytes):
     return u[:, 0], u[:, 1]
 
 
-_PAIR_SCHEMA = pa.schema([
-    ("kind", pa.int8()), ("ga", pa.int64()), ("gb", pa.int64()),
-    ("dir", pa.string()), ("ec", pa.int32()), ("er", pa.int32()),
-    ("side", pa.int8()), ("vals", pa.binary()), ("labs", pa.binary()),
-    ("blk", pa.int64()),
-])
+def _border_pairs(edge_rows):
+    """Border side rows -> (ga, gb) label equivalences: ONE ``group_map`` on
+    the border (dir, ec, er) with the side as the local order, so the <= 2
+    side rows of a border are adjacent in one block and pair in place (the
+    per-border group apply this replaces paid ~3 ms/border of Python at 2
+    borders/tile)."""
+    from .agg import _group_starts, group_map
 
+    def pair(b: pa.Table) -> pa.Table:
+        ga, gb = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        vals, labs = b["vals"], b["labs"]
+        for i in np.flatnonzero(~_group_starts(b, ["dir", "ec", "er"])[1:]):
+            got = _border_eq_pairs(vals[i].as_py(), vals[i + 1].as_py(),
+                                   labs[i].as_py(), labs[i + 1].as_py())
+            if got is not None:
+                ga.append(got[0])
+                gb.append(got[1])
+        return pa.table({"ga": pa.array(np.concatenate(ga), pa.int64()),
+                         "gb": pa.array(np.concatenate(gb), pa.int64())})
 
-def _block_border_pairs(batch: pa.Table) -> pa.Table:
-    """Vectorized border pairing over a border-sorted edge stream: adjacent
-    rows sharing (dir, ec, er) are the two sides of one border (each border
-    has <= 2 globally-unique side rows) -> kind=0 (ga, gb) equivalence rows;
-    the block's first/last rows are re-emitted as kind=1 boundary rows so a
-    border split across two blocks is stitched on the driver (O(#blocks)
-    side channel — the map_groups this replaces paid ~3 ms/border of Python
-    at 2 borders/tile)."""
-    import hashlib as _hl
-
-    n = batch.num_rows
-    if n == 0:
-        return _PAIR_SCHEMA.empty_table()
-    d = np.asarray(batch["dir"].to_pylist())
-    ec = batch["ec"].to_numpy(zero_copy_only=False)
-    er = batch["er"].to_numpy(zero_copy_only=False)
-    same = (d[1:] == d[:-1]) & (ec[1:] == ec[:-1]) & (er[1:] == er[:-1])
-    ga_out, gb_out = [], []
-    for i in np.nonzero(same)[0]:
-        got = _border_eq_pairs(batch["vals"][i].as_py(), batch["vals"][i + 1].as_py(),
-                               batch["labs"][i].as_py(), batch["labs"][i + 1].as_py())
-        if got is not None:
-            ga_out.append(got[0])
-            gb_out.append(got[1])
-    ga = np.concatenate(ga_out) if ga_out else np.array([], dtype=np.int64)
-    gb = np.concatenate(gb_out) if gb_out else np.array([], dtype=np.int64)
-    npairs = len(ga)
-    # blk tag: every (dir, ec, er, side) row is globally unique in the edge
-    # stream, so the first row's full key identifies this block
-    blk = int.from_bytes(_hl.sha256(
-        f"{d[0]}|{int(ec[0])}|{int(er[0])}|{batch['side'][0].as_py()}".encode()
-    ).digest()[:8], "big", signed=True)
-    edge_idx = [0, n - 1] if n > 1 else [0]
-    ne = len(edge_idx)
-    return pa.table({
-        "kind": pa.array([0] * npairs + [1] * ne, pa.int8()),
-        "ga": pa.array(np.concatenate([ga, np.zeros(ne, np.int64)]), pa.int64()),
-        "gb": pa.array(np.concatenate([gb, np.zeros(ne, np.int64)]), pa.int64()),
-        "dir": pa.array([None] * npairs + [d[i] for i in edge_idx], pa.string()),
-        "ec": pa.array([None] * npairs + [int(ec[i]) for i in edge_idx], pa.int32()),
-        "er": pa.array([None] * npairs + [int(er[i]) for i in edge_idx], pa.int32()),
-        "side": pa.array([None] * npairs + [batch["side"][i].as_py() for i in edge_idx], pa.int8()),
-        "vals": pa.array([None] * npairs + [batch["vals"][i].as_py() for i in edge_idx], pa.binary()),
-        "labs": pa.array([None] * npairs + [batch["labs"][i].as_py() for i in edge_idx], pa.binary()),
-        "blk": pa.array([0] * npairs + [blk] * ne, pa.int64()),
-    }, schema=_PAIR_SCHEMA)
-
-
-def _stitch_border_boundary(boundary: pd.DataFrame) -> list[tuple[int, int]]:
-    """Driver-side stitch of borders split across block edges: adjacent
-    boundary rows with the same (dir, ec, er) but DIFFERENT blk are the two
-    sides of one border whose in-block pairing never saw them together."""
-    out: list[tuple[int, int]] = []
-    if len(boundary) <= 1:
-        return out
-    b = boundary.sort_values(["dir", "ec", "er", "side"]).reset_index(drop=True)
-    same = (
-        (b["dir"].to_numpy()[1:] == b["dir"].to_numpy()[:-1])
-        & (b["ec"].to_numpy()[1:] == b["ec"].to_numpy()[:-1])
-        & (b["er"].to_numpy()[1:] == b["er"].to_numpy()[:-1])
-        & (b["blk"].to_numpy()[1:] != b["blk"].to_numpy()[:-1])
-    )
-    for i in np.nonzero(same)[0]:
-        got = _border_eq_pairs(b["vals"].iloc[i], b["vals"].iloc[i + 1],
-                               b["labs"].iloc[i], b["labs"].iloc[i + 1])
-        if got is not None:
-            out.extend(zip(got[0].tolist(), got[1].tolist()))
-    return out
+    return group_map(edge_rows, ["dir", "ec", "er"], pair, order=["side"])
 
 
 def region_group(ds, layout, spill_dir: str | None = None):
@@ -238,9 +182,9 @@ def region_group(ds, layout, spill_dir: str | None = None):
     (point it at shared storage on a real cluster; tempdir under /tmp by
     default) and emits only the slim border rows downstream, so the object
     store holds O(tiles x tile_edge) edge bytes, never the layer. Border
-    sides pair via one range sort + vectorized per-block adjacent extraction
-    + O(#blocks) driver stitch (each border has exactly <= 2 side rows);
-    the relabel pass re-reads the spilled layer with the broadcast remap."""
+    sides pair via one ``group_map`` on the border (each border has exactly
+    <= 2 side rows, adjacent in one block: ``_border_pairs``); the relabel
+    pass re-reads the spilled layer with the broadcast remap."""
     import tempfile
     import uuid
 
@@ -259,12 +203,7 @@ def region_group(ds, layout, spill_dir: str | None = None):
 
     edge_rows = ds.map_batches(label_and_spill, batch_format="pyarrow",
                                zero_copy_batch=True)
-    mixed = edge_rows.sort(["dir", "ec", "er", "side"]).map_batches(
-        _block_border_pairs, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # small: equivalence pairs + 2 boundary rows per block
-    eqs = mixed.filter(expr="kind == 0").select_columns(["ga", "gb"]).take_all()
-    boundary = mixed.filter(expr="kind == 1").drop_columns(["kind", "ga", "gb"]).to_pandas()
-    stitched = _stitch_border_boundary(boundary)
+    eqs = _border_pairs(edge_rows).take_all()  # small: equivalence pairs only
     # driver union-find over cross-tile equivalences only
     parent: dict[int, int] = {}
 
@@ -276,7 +215,7 @@ def region_group(ds, layout, spill_dir: str | None = None):
             parent[x], x = r, parent[x]
         return r
 
-    for ga, gb in list((int(r["ga"]), int(r["gb"])) for r in eqs) + stitched:
+    for ga, gb in ((int(r["ga"]), int(r["gb"])) for r in eqs):
         ra, rb = find(ga), find(gb)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)

@@ -23,6 +23,7 @@ from ..core.mercator import latlng_to_webmercator, webmercator_to_latlng
 from ..core.raster import INT_NODATA, decode_tile, encode_tile, merge as tile_merge
 from ..core.sfc import zorder
 from ._arrow_groups import one_tile, views
+from .agg import each_group, group_map
 
 
 def _to_latlng(crs: str, xs, ys):
@@ -235,4 +236,5 @@ def reproject_layer(ds, src_layout: LayoutDefinition, dst_layout: LayoutDefiniti
         cells, cc, rr, ct2 = encode_tile(out)
         return one_tile(c, r, cells, cc, rr, ct2)
 
-    return exploded.groupby(["key_col", "key_row"]).map_groups(merge_group, batch_format="pyarrow")
+    keys = ["key_col", "key_row"]
+    return group_map(exploded, keys, each_group(keys, merge_group))

@@ -18,6 +18,9 @@ import pyarrow as pa
 
 from ..core.raster import decode_tile, encode_tile
 from ._arrow_groups import one_tile, views
+from .agg import each_group, group_map
+
+_KEYS = ["key_col", "key_row"]
 
 __all__ = ["temporal_composite", "temporal_trend", "temporal_theil_sen"]
 
@@ -50,8 +53,7 @@ def temporal_composite(st_ds, op: str = "median"):
         out[np.isnan(cube).any(axis=0)] = np.nan
         return _tile_row(g, out)
 
-    return st_ds.groupby(["key_col", "key_row"]).map_groups(
-        comp, batch_format="pyarrow")
+    return group_map(st_ds, _KEYS, each_group(_KEYS, comp))
 
 
 def temporal_trend(st_ds):
@@ -76,8 +78,7 @@ def temporal_trend(st_ds):
         out[np.isnan(cube).any(axis=0)] = np.nan
         return _tile_row(g, out)
 
-    return st_ds.groupby(["key_col", "key_row"]).map_groups(
-        trend, batch_format="pyarrow")
+    return group_map(st_ds, _KEYS, each_group(_KEYS, trend))
 
 
 def temporal_theil_sen(st_ds):
@@ -101,5 +102,4 @@ def temporal_theil_sen(st_ds):
         out[np.isnan(cube).any(axis=0)] = np.nan
         return _tile_row(g, out)
 
-    return st_ds.groupby(["key_col", "key_row"]).map_groups(
-        ts, batch_format="pyarrow")
+    return group_map(st_ds, _KEYS, each_group(_KEYS, ts))

@@ -12,7 +12,8 @@ Coordinates quantized to an ``extent`` x ``extent`` grid over the tile's map
 extent, origin top-left (y down), clamped — matching MVT's grid convention.
 
 Ray shape: ClipToGrid explode (stages/clip.py) keys+clips features, then
-``groupby(key).map_groups(encode)`` emits one binary row per tile.
+``agg.group_map`` on the key, one ``encode`` per tile group, emits one
+binary row per tile.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..core import wkb
 from ..core.layout import LayoutDefinition
 from ..core.sfc import zorder
 from ._arrow_groups import ints, views
+from .agg import each_group, group_map
 from .clip import clip_to_grid_batch
 
 MAGIC = b"GVT1"
@@ -110,4 +112,5 @@ def vector_tiles(ds, layout: LayoutDefinition, wkb_col: str = "wkb",
              "n_features": pa.array([len(feats)], pa.int64())}
         )
 
-    return exploded.groupby(["key_col", "key_row"]).map_groups(encode_group, batch_format="pyarrow")
+    keys = ["key_col", "key_row"]
+    return group_map(exploded, keys, each_group(keys, encode_group))

@@ -33,6 +33,7 @@ import pyarrow as pa
 
 from ..core import wkb
 from ..core.layout import LayoutDefinition
+from .agg import each_group, group_map
 
 __all__ = ["vectorize", "assemble_rings"]
 
@@ -161,4 +162,4 @@ def vectorize(labeled_ds, layout: LayoutDefinition):
                          "area": pa.array([float(area)], pa.float64()),
                          "n_holes": pa.array([len(holes)], pa.int64())})
 
-    return edges.groupby("lab").map_groups(assemble, batch_format="pyarrow")
+    return group_map(edges, ["lab"], each_group(["lab"], assemble))

@@ -439,18 +439,16 @@ def test_universal_kriging_reproduces_global_trend(ray_session):
     np.testing.assert_allclose(got_q, quad(cc, rr), rtol=1e-5, atol=1e-4)
 
 
-def test_region_border_pairing_block_split_invariance():
-    """The sort-based border pairing (round 4: _block_border_pairs +
-    _stitch_border_boundary replaced the per-border map_groups) must emit
-    the same equivalence set under ANY block split of the sorted edge
-    stream — including splits that cut a 2-row border across blocks."""
-    import pyarrow as pa
+def test_region_border_pairing_block_split_invariance(ray_session):
+    """The border pairing (one group_map on the border) emits the same
+    equivalence set at any number of input blocks, down to one row per
+    block, and region_group labels a layer the same at 1 and 4 blocks."""
+    import ray.data as rd
 
-    from geotrellis_ray.stages.regiongroup import (_block_border_pairs,
-                                                   _stitch_border_boundary)
+    from geotrellis_ray.stages.regiongroup import _border_pairs
 
     rng2 = np.random.default_rng(17)
-    # synthetic sorted edge stream: 6 borders x 2 sides, 4-cell edges
+    # synthetic edge stream: 6 borders x 2 sides, 4-cell edges
     n_border = 6
     rows = []
     for k in range(n_border):
@@ -464,42 +462,26 @@ def test_region_border_pairing_block_split_invariance():
         for side, v, lab in ((0, vals, l0), (1, vals2, l1)):
             rows.append({"dir": "v" if k % 2 == 0 else "h", "ec": k // 2, "er": k % 4,
                          "side": side, "vals": v.tobytes(), "labs": lab.tobytes()})
-    rows.sort(key=lambda r: (r["dir"], r["ec"], r["er"], r["side"]))
+    t = pa.Table.from_pylist(rows[::-1], schema=pa.schema([
+        ("dir", pa.string()), ("ec", pa.int32()), ("er", pa.int32()), ("side", pa.int8()),
+        ("vals", pa.binary()), ("labs", pa.binary())]))
+    want = {(100 * k + p, 100 * k + 50 + p) for k in range(n_border) for p in (0, 2)}
+    for blocks in (1, 2, 3, 5, len(rows)):
+        got = _border_pairs(rd.from_arrow(t).repartition(blocks)).take_all()
+        assert {(r["ga"], r["gb"]) for r in got} == want, blocks
 
-    def run(split_points):
-        pairs = set()
-        import pandas as pd
-        boundary_frames = []
-        pieces = np.split(np.arange(len(rows)), split_points)
-        for idx in pieces:
-            if not len(idx):
-                continue
-            t = pa.table({
-                "dir": pa.array([rows[i]["dir"] for i in idx], pa.string()),
-                "ec": pa.array([rows[i]["ec"] for i in idx], pa.int32()),
-                "er": pa.array([rows[i]["er"] for i in idx], pa.int32()),
-                "side": pa.array([rows[i]["side"] for i in idx], pa.int8()),
-                "vals": pa.array([rows[i]["vals"] for i in idx], pa.binary()),
-                "labs": pa.array([rows[i]["labs"] for i in idx], pa.binary()),
-            })
-            out = _block_border_pairs(t)
-            df = out.to_pandas()
-            for _, r in df[df["kind"] == 0].iterrows():
-                pairs.add((int(r["ga"]), int(r["gb"])))
-            boundary_frames.append(df[df["kind"] == 1])
-        boundary = pd.concat(boundary_frames, ignore_index=True) if boundary_frames else pd.DataFrame()
-        if len(boundary):
-            pairs.update((int(a), int(b)) for a, b in
-                         _stitch_border_boundary(boundary.drop(columns=["kind", "ga", "gb"])))
-        return pairs
-
-    # oracle: one block holding everything
-    want = run([])
-    assert len(want) == n_border * 2  # 2 shared positions per border
-    # adversarial splits: every single cut point, plus every-row split
-    for cut in range(1, len(rows)):
-        assert run([cut]) == want, f"cut at {cut}"
-    assert run(list(range(1, len(rows)))) == want  # one row per block
+    rng = np.random.default_rng(9)
+    big = rng.integers(0, 2, (64, 64)).astype(np.float64)
+    tiles = []
+    for kr in range(4):
+        for kc in range(4):
+            cells, cols_, rows_, ct = encode_tile(big[kr * 16:(kr + 1) * 16, kc * 16:(kc + 1) * 16])
+            tiles.append({"key_col": kc, "key_row": kr, "sfc": int(zorder(kc, kr)),
+                          "cells": cells, "cols": cols_, "rows": rows_, "cell_type": ct})
+    labels = [_stitch(region_group(rd.from_items(tiles).repartition(blocks), LAYOUT)
+                      .to_pandas(), cell_type="int64") for blocks in (1, 4)]
+    np.testing.assert_array_equal(labels[0], labels[1])
+    assert _partition_bijection(labels[0], _bfs_labels(big), np.ones_like(big, dtype=bool))
 
 
 def test_numpy_8_sample_sum_is_the_fixed_pairwise_tree():

@@ -198,87 +198,6 @@ def test_multimodal_stub_plumbing():
     assert len(a["audio_rms"][0].as_py()) == 8
 
 
-# ---------------------------------------------------------------------------
-# MinHash LSH boundary stitch: adversarial block-split property
-# ---------------------------------------------------------------------------
-
-def _band_stream(buckets):
-    """buckets: list of ((band, band_hash), [ids]) -> sorted band-row table."""
-    rows = {"doc_id": [], "band": [], "band_hash": []}
-    for (band, bhash), ids in sorted(buckets, key=lambda t: (t[0][0], t[0][1])):
-        for i in sorted(ids):
-            rows["doc_id"].append(i)
-            rows["band"].append(band)
-            rows["band_hash"].append(bhash)
-    return pa.table({
-        "doc_id": pa.array(rows["doc_id"], pa.int64()),
-        "band": pa.array(rows["band"], pa.int32()),
-        "band_hash": pa.array(rows["band_hash"], pa.uint64()),
-    })
-
-
-def _pairs_with_splits(table, split_points):
-    """Run per-block extraction + driver stitch over the given block split."""
-    import pandas as pd
-
-    from geotrellis_ray.stages.dedup import _block_adjacent_pairs, _stitch_boundary_rows
-
-    bounds = [0] + sorted(split_points) + [table.num_rows]
-    parts = [
-        _block_adjacent_pairs(table.slice(a, b - a), "doc_id")
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    mixed = pa.concat_tables(parts).to_pandas()
-    pairs = mixed[mixed["kind"] == 0][["id_a", "id_b"]]
-    cross = _stitch_boundary_rows(pd.DataFrame(mixed[mixed["kind"] == 1]))
-    out = {(int(a), int(b)) for a, b in zip(pairs["id_a"], pairs["id_b"])}
-    if cross is not None:
-        out |= {(int(a), int(b)) for a, b in
-                zip(cross["id_a"].to_pylist(), cross["id_b"].to_pylist())}
-    return out
-
-
-def test_stitch_same_first_id_adjacent_blocks():
-    """Regression for the blk-tag collision: two adjacent blocks whose FIRST
-    rows share a doc id (under different buckets) must still stitch the
-    genuine cross-block pair. Old scheme tagged blocks by bare first-row id
-    and silently dropped it."""
-    t = _band_stream([((0, 4), [7]), ((0, 5), [3, 7, 9])])
-    # stream rows: (0,4,7) (0,5,3) (0,5,7) (0,5,9); split after row 2 ->
-    # block A first id 7, block B first id 7
-    oracle = _pairs_with_splits(t, [])
-    assert oracle == {(3, 7), (7, 9)}
-    assert _pairs_with_splits(t, [2]) == oracle
-
-
-def test_stitch_all_split_points_match_single_block():
-    """Exhaustive: every single/double split of several bucket layouts yields
-    the same pair set as the unsplit stream."""
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        n_buckets = int(rng.integers(1, 5))
-        buckets = []
-        used = set()
-        for _ in range(n_buckets):
-            key = (int(rng.integers(0, 3)), int(rng.integers(0, 4)))
-            if key in used:
-                continue
-            used.add(key)
-            ids = list(rng.choice(20, size=int(rng.integers(1, 5)), replace=False))
-            buckets.append((key, [int(i) for i in ids]))
-        t = _band_stream(buckets)
-        n = t.num_rows
-        if n < 2:
-            continue
-        oracle = _pairs_with_splits(t, [])
-        for s in range(1, n):
-            assert _pairs_with_splits(t, [s]) == oracle, (buckets, s)
-        for s1 in range(1, n):
-            for s2 in range(s1 + 1, n):
-                assert _pairs_with_splits(t, [s1, s2]) == oracle, (buckets, s1, s2)
-
-
 def test_terms_and_line_stats_edge_cases():
     from geotrellis_ray.functions.text_analysis import line_stats_batch, terms_batch
 

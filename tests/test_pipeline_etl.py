@@ -209,7 +209,7 @@ def test_spec_unbounded_agg_and_window_ops(ray_session, tmp_path):
                                "val_col": "score"}])
     assert out.count() == 9
     out = run_spec(rd_spec + [{"op": "agg.grouped_quantile", "key_col": "key",
-                               "val_col": "score", "id_col": "doc_id", "q": "0.5"}])
+                               "val_col": "score", "q": "0.5"}])
     assert out.count() == 9
     out = run_spec(rd_spec + [{"op": "agg.grouped_mode", "key_col": "key",
                                "val_col": "score"}])

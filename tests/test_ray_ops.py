@@ -191,6 +191,48 @@ def test_minhash_dedup_finds_planted_dups(ray_session):
     assert len({lab[0], lab[2], lab[4], lab[6]}) == 4
 
 
+def _band_stream(buckets) -> pa.Table:
+    """buckets: list of ((band, band_hash), [ids]) -> band rows."""
+    rows = [(i, band, bhash) for (band, bhash), ids in buckets for i in ids]
+    return pa.table({"doc_id": pa.array([r[0] for r in rows], pa.int64()),
+                     "band": pa.array([r[1] for r in rows], pa.int32()),
+                     "band_hash": pa.array([r[2] for r in rows], pa.uint64())})
+
+
+def test_lsh_bucket_pairs_match_at_every_block_count(ray_session):
+    """The LSH bucket pairing chains each bucket's ids in id order whatever
+    the input blocks: two adjacent buckets whose first ids are equal (the
+    case a block tag by first id got wrong), 20 random bucket layouts and
+    a bucket hash >= 2^63, each at 1..8 input blocks; and
+    minhash_candidate_pairs gives one pair set at 1..4 blocks."""
+    import ray.data
+
+    from geotrellis_ray.stages.dedup import _bucket_pairs, minhash_candidate_pairs
+
+    rng = np.random.default_rng(42)
+    buckets = [((0, 4), [7]), ((0, 5), [9, 3, 7]), ((1, 2**63 + 5), [4, 1])]
+    for b in range(20):
+        ids = rng.choice(20, size=int(rng.integers(1, 5)), replace=False)
+        buckets.append(((2 + b % 3, b), [int(i) for i in ids]))
+    want = {(a, b) for _key, ids in buckets for a, b in zip(sorted(ids), sorted(ids)[1:])}
+    assert {(3, 7), (7, 9), (1, 4)} <= want
+    t = _band_stream(buckets)
+    t = t.take(pa.array(rng.permutation(t.num_rows)))
+    for blocks in range(1, 9):
+        got = _bucket_pairs(ray.data.from_arrow(t).repartition(blocks), "doc_id").take_all()
+        assert {(r["id_a"], r["id_b"]) for r in got} == want, blocks
+
+    words = [f"w{i}" for i in range(60)]
+    docs = []
+    for d in range(24):
+        text = " ".join(words[(d // 3) * 6:(d // 3) * 6 + 30])  # near-dup trios
+        docs.append({"doc_id": d, "text": text if d % 3 else text + " tail"})
+    pairs = [sorted((r["id_a"], r["id_b"]) for r in minhash_candidate_pairs(
+        ray.data.from_items(docs).repartition(blocks), with_est=False).take_all())
+        for blocks in range(1, 5)]
+    assert pairs[0] and all(p == pairs[0] for p in pairs)
+
+
 def test_simhash_near_dups(ray_session):
     import ray.data
 

@@ -1,9 +1,10 @@
 """Brute-force oracles for stages/agg.sort_group_aggregate — the
-unbounded-cardinality grouped aggregate (ONE range sort + vectorized
-segment reduce + O(#blocks) edge stitch). This is the r5 replacement for
-Ray's sort-based Aggregate in the #groups ~ #rows regime (measured ~300x
-per-group overhead there: 6.3M unique int64 keys, Dataset.sort 0.6 s vs
-groupby().aggregate() 189.5 s on this host)."""
+unbounded-cardinality grouped aggregate (ONE ``group_map`` + vectorized
+segment reduce) — and the fact ``group_map`` rests on: after a range sort
+on the group keys the first map sees every group in one block. This is the
+r5 replacement for Ray's sort-based Aggregate in the #groups ~ #rows regime
+(measured ~300x per-group overhead there: 6.3M unique int64 keys,
+Dataset.sort 0.6 s vs groupby().aggregate() 189.5 s on this host)."""
 
 import numpy as np
 import pyarrow as pa
@@ -270,7 +271,7 @@ def test_exact_grouped_quantile_matches_bruteforce(ray_session, q, nkeys, nvals,
                       "v": pa.array([3, 5, 1, 9, None, 2, 4, None, None], pa.int64()),
                       "rid": pa.array(np.arange(9), pa.int64())})
         got = exact_grouped_quantile(ray.data.from_arrow(t).repartition(blocks),
-                                     "k", "v", "rid", q=q).take_all()
+                                     "k", "v", q=q).take_all()
         exp = duckdb.execute(f"SELECT k, quantile_disc(v, {q}) AS q_val, count(*) AS n_rows "
                              "FROM t GROUP BY k").arrow().to_pylist()
         nulls_last = sorted(exp, key=lambda r: (r["k"] is None, r["k"] or 0))
@@ -285,7 +286,7 @@ def test_exact_grouped_quantile_matches_bruteforce(ray_session, q, nkeys, nvals,
         "rid": pa.array(np.arange(n), pa.int64()),
     })
     ds = ray.data.from_arrow(t).repartition(blocks)
-    got = exact_grouped_quantile(ds, "k", "v", "rid", q=q).to_pandas()
+    got = exact_grouped_quantile(ds, "k", "v", q=q).to_pandas()
     frac = Fraction(q)
 
     def brute(g):
@@ -428,3 +429,98 @@ def test_sort_group_mode_nulls_match_duckdb(ray_session, monkeypatch, branch, ke
                 PARTITION BY {key} ORDER BY cnt DESC, {val} ASC NULLS LAST) = 1""",
         branch, monkeypatch)
     assert got == exp
+
+
+def _hot_key_table(n: int = 400_000) -> pa.Table:
+    """Keys (s, f): a string with 20% nulls, a float with NaN, and one hot
+    key ("hot", 1.0) on half the rows."""
+    rng = np.random.default_rng(5)
+    s = rng.integers(0, 5000, n).astype(str).astype(object)
+    s[rng.random(n) < 0.2] = None
+    f = rng.integers(0, 4, n).astype(np.float64)
+    f[rng.random(n) < 0.1] = np.nan
+    hot = rng.permutation(n)[: n // 2]
+    s[hot], f[hot] = "hot", 1.0
+    return pa.table({"s": pa.array(s, pa.string()), "f": pa.array(f),
+                     "v": pa.array(np.arange(n), pa.int64())})
+
+
+def test_group_map_sees_each_group_in_one_call(ray_session):
+    """group_map's fn sees every group whole in exactly one call, even a
+    hot key holding half the rows at a 1 MiB target block size; null
+    strings and NaN group as one key each. The same sort followed by two
+    fused maps DOES split the hot key: the second map sees re-chunked
+    blocks, which is why fn must run in the first map after the sort."""
+    import uuid
+
+    import duckdb
+    import ray.data
+    from ray.data import DataContext
+
+    from geotrellis_ray.stages.agg import _group_starts, group_map
+
+    def groups_per_call(b: pa.Table) -> pa.Table:
+        # one row per group of a key-sorted block, tagged with this call
+        starts = np.flatnonzero(_group_starts(b, ["s", "f"]))
+        return pa.table({"s": b["s"].take(pa.array(starts, pa.int64())),
+                         "f": b["f"].take(pa.array(starts, pa.int64())),
+                         "n": pa.array(np.diff(np.r_[starts, b.num_rows]), pa.int64()),
+                         "call": pa.array([uuid.uuid4().hex] * len(starts))})
+
+    t = _hot_key_table()
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 1 << 20
+    try:
+        ds = ray.data.from_arrow(t).repartition(8)
+        got = group_map(ds, ["s", "f"], groups_per_call).to_pandas()
+        twice = group_map(ds, ["s", "f"], lambda b: b).map_batches(
+            groups_per_call, batch_format="pyarrow", batch_size=None).to_pandas()
+    finally:
+        ctx.target_max_block_size = old
+    exp = duckdb.sql("SELECT s, isnan(f) AS nan_f, f, count(*) AS n FROM t "
+                     "GROUP BY ALL").df()
+    assert len(got) == len(exp)  # no group reported twice
+    key = got.assign(nan_f=got["f"].isna())
+    assert not key.duplicated(["s", "nan_f", "f"]).any()
+    assert sorted(got["n"]) == sorted(exp["n"])
+    assert got.loc[got["s"] == "hot", "n"].max() == len(t) // 2
+    hot_calls = twice[(twice["s"] == "hot") & (twice["f"] == 1.0)]["call"].nunique()
+    assert hot_calls > 1, "a second fused map no longer re-chunks: update group_map's docs"
+
+
+def _empty_cases():
+    from geotrellis_ray.stages.agg import (exact_grouped_quantile, sort_group_aggregate,
+                                           sort_group_mode, sort_grouped_top_k)
+    from geotrellis_ray.stages.window import sessionize, window_rank
+
+    return {
+        "sort_group_mode": (lambda ds: sort_group_mode(ds, "k", "v"),
+                            {"k", "mode_val", "mode_cnt", "n_rows"}),
+        "sort_group_aggregate": (lambda ds: sort_group_aggregate(ds, "k", [("v", "sum", "s")]),
+                                 {"k", "s"}),
+        "sort_grouped_top_k": (lambda ds: sort_grouped_top_k(ds, "k", "v", 2, tie_col="id"),
+                               {"k", "v", "id", "ts", "rank"}),
+        "exact_grouped_quantile": (lambda ds: exact_grouped_quantile(ds, "k", "v"),
+                                   {"k", "q_val", "n_rows"}),
+        "sessionize": (lambda ds: sessionize(ds, "k", "ts", "id", gap_us=10),
+                       {"id", "k", "session_no"}),
+        "window_rank": (lambda ds: window_rank(ds, "k", "ts", "id", "v"),
+                        {"id", "k", "rn", "rnk", "drnk", "rsum"}),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_empty_cases()))
+def test_group_map_ops_on_empty_inputs(ray_session, op):
+    """An input with neither rows nor a schema (a map over no rows) comes
+    back as it is; a zero-row input with a schema gives a typed empty
+    answer."""
+    import ray.data
+
+    fn, names = _empty_cases()[op]
+    t = pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64()),
+                  "id": pa.array([], pa.int64()), "ts": pa.array([], pa.int64())})
+    bare = fn(ray.data.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow"))
+    assert bare.count() == 0 and bare.schema() is None
+    typed = fn(ray.data.from_arrow(t))
+    assert typed.count() == 0 and set(typed.schema().names) == names

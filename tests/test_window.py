@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 ray = pytest.importorskip("ray")
@@ -451,29 +452,37 @@ def test_keep_best_dedup_matches_bruteforce(ray_session):
 
 def _null_key_events(key_type):
     """400 events over 4 partition values plus ~20% null keys, few distinct
-    order values (rank ties) and ts steps around the session gap."""
+    order values (rank ties) and ts steps around the session gap.
+    ``float_nan``: float keys, ~15% of them NaN, and a string event id;
+    ``unbounded``: 20k int keys of 1-3 rows each."""
     rng = np.random.default_rng(21)
     n = 400
     k = rng.integers(0, 4, n)
+    if key_type == "unbounded":
+        k = np.repeat(np.arange(20_000), rng.integers(1, 4, 20_000))
+        n = len(k)
     null = rng.random(n) < 0.2
-    keys = ([f"u{v}" for v in k] if key_type == "string" else k.tolist())
+    typ = {"string": pa.string(), "float_nan": pa.float64()}.get(key_type, pa.int64())
+    keys = ([f"u{v}" for v in k] if key_type == "string" else
+            np.where(rng.random(n) < 0.15, np.nan, k).tolist() if key_type == "float_nan" else
+            k.tolist())
+    ids = rng.permutation(n)
     return pa.table({
-        "event_id": pa.array(rng.permutation(n), pa.int64()),
-        "part": pa.array([None if z else v for v, z in zip(keys, null)],
-                         pa.string() if key_type == "string" else pa.int64()),
+        "event_id": (pa.array([f"e{i}" for i in ids]) if key_type == "float_nan"
+                     else pa.array(ids, pa.int64())),
+        "part": pa.array([None if z else v for v, z in zip(keys, null)], typ),
         "ts": pa.array(rng.choice([0, 500, 999, 1000, 1001, 5000], n).cumsum(), pa.int64()),
         "ordv": pa.array(rng.integers(0, 5, n), pa.int64()),
         "v": pa.array(rng.integers(-50, 100, n), pa.int64()),
     })
 
 
-@pytest.mark.parametrize("key_type", ["string", "int64"])
+@pytest.mark.parametrize("key_type", ["string", "int64", "float_nan", "unbounded"])
 def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
-    """A null partition key is one partition, as in SQL PARTITION BY: the
-    range sort must not fail on it, the block pass and driver stitch must
-    not split it (8 blocks, so the null run crosses block edges), the
-    moving sum's self join must match it and the rank stats must look up
-    its count."""
+    """A null partition key is one partition, as in SQL PARTITION BY, and
+    so is a NaN one: the grouping sort must not fail on them or split them
+    (8 input blocks), with a string id as the tie-breaker too, and the rank
+    stats need no bound on the number of partitions."""
     import duckdb
 
     from geotrellis_ray.stages.window import (as_of_next, moving_window_sum, sessionize,
@@ -516,5 +525,5 @@ def test_window_family_null_partition_keys_match_duckdb(ray_session, key_type):
         np.testing.assert_array_equal(got[c].to_numpy(), exp[c].to_numpy(), err_msg=c)
     got = by_id(sessionize(ds, "part", "ts", "event_id", gap_us=1000))
     np.testing.assert_array_equal(got["session_no"].to_numpy(), exp["session_no"].to_numpy())
-    # the partition column comes back with its nulls
-    assert got["part"].isna().sum() == t["part"].null_count
+    # the partition column comes back with its nulls (and NaN)
+    assert got["part"].isna().sum() == pc.sum(t["part"].is_null(nan_is_null=True)).as_py()
