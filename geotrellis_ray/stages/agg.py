@@ -143,9 +143,9 @@ def _var_width(t: pa.DataType) -> bool:
 
 def group_map(ds, keys, fn, order=()):
     """``fn`` over key-sorted blocks that hold only whole ``keys`` groups —
-    the engine's one grouping sort. ``keys`` is one column name or a list;
-    ``order`` is more sort columns, each a name (ascending) or a
-    ``(name, "ascending"|"descending")`` pair.
+    the engine's one grouping sort. ``keys`` is one column name or a
+    non-empty list; ``order`` is more sort columns, each a name (ascending)
+    or a ``(name, "ascending"|"descending")`` pair.
 
     ONE range sort on ``keys`` alone: Ray 2.49's range partitioner cuts on
     the full sort-key tuple and each reducer returns one block, so the first
@@ -168,6 +168,8 @@ def group_map(ds, keys, fn, order=()):
     ``fn`` over a zero-row table with the input's schema; an input with
     neither rows nor a schema comes back as it is."""
     keys = [keys] if isinstance(keys, str) else list(keys)
+    if not keys:
+        raise ValueError("group_map needs at least one key column")
     local = [(c, "ascending") for c in keys] + [
         (c, "ascending") if isinstance(c, str) else tuple(c) for c in order]
 
@@ -382,7 +384,8 @@ def sort_group_aggregate(ds, key_col, specs, having_min_count: int | None = None
 
     Shape: ONE ``group_map`` on the keys; each block reduces its whole
     groups in place (``_run_reduce``, numpy reduceat). Nothing reaches the
-    driver.
+    driver. The group count is unbounded; one group must fit in one
+    reducer block.
 
     specs: [(col, fn, alias)] with fn in {count,sum,min,max}, with
     partial_groupby's semantics (``_batch_partial``). ``having_min_count``
@@ -622,21 +625,31 @@ def sort_grouped_top_k(ds, key_col, order_col: str, k: int,
     canonical URL / content cluster" over a web corpus lives here.
 
     Shape: ONE ``group_map`` on the keys with (order[, tie]) as the local
-    order, so each block keeps the first k rows of its whole groups. Rows
-    ride whole through the sort: ship slim columns (key, order, id) and
-    join payloads back by id.
+    order, so each block keeps the first k rows of its whole groups; one
+    group must fit in one reducer block. Rows ride whole through the sort:
+    ship slim columns (key, order, id) and join payloads back by id.
 
     Ties: ``tie_col`` (ascending, must make rows unique) pins the SQL
     ROW_NUMBER order; without it, ranks among equal order values follow
     the block's row order. Adds ``rank`` (1-based). ``key_col`` is one
     column name or a list of them; order as in grouped_top_k (NaN, then
-    null, last)."""
+    null, last). No keys (ORDER BY ... LIMIT k) is one group under a
+    constant key, so its rows meet in one reducer block, sorted in order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
     sort_keys = [(order_col, "descending" if descending else "ascending")] + (
         [(tie_col, "ascending")] if tie_col else [])
-    return group_map(ds, keys, lambda b: _head(b, keys, k, rank=True), order=sort_keys)
+    if keys:
+        return group_map(ds, keys, lambda b: _head(b, keys, k, rank=True), order=sort_keys)
+
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8)))
+
+    def head(b: pa.Table) -> pa.Table:
+        return _head(b, ["__g"], k, rank=True).drop_columns(["__g"])
+
+    return group_map(_typed_map(ds, tag), ["__g"], head, order=sort_keys)
 
 
 def sort_group_count_distinct(ds, key_col: str, val_col: str):
@@ -671,7 +684,8 @@ def exact_grouped_quantile(ds, key_col: str, val_col: str, q="0.5"):
 
     Shape: ONE ``group_map`` on the key with the value as the local order.
     Nulls sort last, so a group's values precede its null values and each
-    block picks every quantile of its whole groups by index.
+    block picks every quantile of its whole groups by index. One group must
+    fit in one reducer block.
     -> Dataset (key_col, q_val, n_rows)."""
     from fractions import Fraction
 

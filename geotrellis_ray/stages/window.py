@@ -15,7 +15,10 @@ counterpart — the reference's temporal layers only bin by key, SURVEY.md
   functions. Each is ONE ``agg.group_map`` on the partition key with
   (order, id) as the local order: after it a block holds whole partitions,
   so every window value is computed in place, vectorized per block, and
-  nothing is stitched on the driver.
+  nothing is stitched on the driver. The partition count is unbounded, but
+  one partition must fit in one reducer block (``group_map``'s bound, as
+  under Ray's ``map_groups``): a hot partition is not spread across
+  reducers.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def as_of_prev(ds, part_col: str, ts_col: str, id_col: str, value_col: str,
                sentinel=-1):
     """-> Dataset (id_col, part_col, prev_<value_col>): the previous row's
     value within the partition in (ts, id) order; ``sentinel`` for partition
-    firsts. Distributed: one ``group_map`` on the partition, a vectorized
-    lag per block."""
+    firsts. One ``group_map`` on the partition, a vectorized lag per block;
+    a partition must fit in one reducer block."""
     return _as_of(ds, part_col, ts_col, id_col, value_col, sentinel, lead=False)
 
 
@@ -105,8 +108,9 @@ def sessionize(ds, part_col: str = "user_id", ts_col: str = "ts",
     partition — the exact SQL-window semantics
     (sum(new_flag) OVER (PARTITION BY part ORDER BY ts, id)).
 
-    Distributed shape (100 TB): ONE ``group_map`` on the partition; each
-    block numbers the sessions of its whole partitions, vectorized."""
+    ONE ``group_map`` on the partition; each block numbers the sessions of
+    its whole partitions, vectorized. A partition must fit in one reducer
+    block."""
 
     def number(b: pa.Table) -> pa.Table:
         ts = b[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -155,9 +159,9 @@ def window_rank(ds, part_col: str, ord_col: str, id_col: str,
     -> Dataset (id_col, part_col, rn, rnk, drnk[, rsum]), exact SQL
     window semantics with rn ties broken by id.
 
-    Distributed shape (100 TB): ONE ``group_map`` on the partition with
-    (ord, id) as the local order; each block ranks its whole partitions,
-    vectorized."""
+    ONE ``group_map`` on the partition with (ord, id) as the local order;
+    each block ranks its whole partitions, vectorized. A partition must fit
+    in one reducer block."""
     names = ["rn", "rnk", "drnk"] + (["rsum"] if val_col else [])
 
     def rank(b: pa.Table) -> pa.Table:
@@ -177,9 +181,8 @@ def window_rank_stats(ds, part_col: str, ord_col: str, id_col: str,
     (id_col, part_col, pctr[, bucket]).
 
     Same one ``group_map`` as window_rank: a block holds whole partitions,
-    so N is the partition's length in the block. Neither the partition
-    count nor the rows per partition are bounded beyond one block per
-    partition."""
+    so N is the partition's length in the block. The partition count is
+    unbounded; one partition must fit in one reducer block."""
 
     def stats(b: pa.Table) -> pa.Table:
         r = _ranks(b, part_col, ord_col, None)
@@ -214,7 +217,8 @@ def moving_window_sum(ds, part_col: str, ord_col: str, id_col: str,
 
     Same one ``group_map`` as window_rank: the k-row sum is the running sum
     rsum minus rsum k rows earlier in the same partition (0 for rn <= k).
-    Same integer contract as window_rank (val integer-castable)."""
+    Same integer contract and one-reducer-block bound per partition as
+    window_rank (val integer-castable)."""
     if k < 1:
         raise ValueError("k must be >= 1")
 

@@ -122,7 +122,7 @@ def test_partial_groupby_matches_duckdb(ray_session, monkeypatch, caplog, branch
 
 @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
 @pytest.mark.parametrize("descending", [True, False], ids=["desc", "asc"])
-@pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"]], ids=["one", "two"])
+@pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"], []], ids=["one", "two", "keyless"])
 @pytest.mark.parametrize("branch", sorted(BRANCHES))
 def test_grouped_top_k_matches_duckdb(ray_session, monkeypatch, caplog, branch, keys,
                                       descending, empty):
@@ -137,8 +137,9 @@ def test_grouped_top_k_matches_duckdb(ray_session, monkeypatch, caplog, branch, 
     con.register("t", src)
     # the engine's order: numbers first, then NaN, then null, in either direction
     order = f"(f IS NULL OR isnan(f)), f IS NULL, f {'DESC' if descending else 'ASC'}, t"
-    exp = con.execute(f"SELECT *, row_number() OVER (PARTITION BY {', '.join(keys)} "
-                      f"ORDER BY {order}) AS rank FROM t QUALIFY rank <= 3").arrow()
+    part = f"PARTITION BY {', '.join(keys)} " if keys else ""
+    exp = con.execute(f"SELECT *, row_number() OVER ({part}ORDER BY {order}) AS rank "
+                      "FROM t QUALIFY rank <= 3").arrow()
     cols = src.column_names + ["rank"]
     assert _rowset(got, cols) == _rowset(exp, cols)
 

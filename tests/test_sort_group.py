@@ -433,7 +433,9 @@ def test_sort_group_mode_nulls_match_duckdb(ray_session, monkeypatch, branch, ke
 
 def _hot_key_table(n: int = 400_000) -> pa.Table:
     """Keys (s, f): a string with 20% nulls, a float with NaN, and one hot
-    key ("hot", 1.0) on half the rows."""
+    key ("hot", 1.0) on half the rows. Keys (i, j) and t: an int32 of
+    three values with 30% nulls, a near-unique int64 and a timestamp, each
+    with 20% nulls."""
     rng = np.random.default_rng(5)
     s = rng.integers(0, 5000, n).astype(str).astype(object)
     s[rng.random(n) < 0.2] = None
@@ -441,16 +443,30 @@ def _hot_key_table(n: int = 400_000) -> pa.Table:
     f[rng.random(n) < 0.1] = np.nan
     hot = rng.permutation(n)[: n // 2]
     s[hot], f[hot] = "hot", 1.0
+
+    def nulls(p):
+        return rng.random(n) < p
+
     return pa.table({"s": pa.array(s, pa.string()), "f": pa.array(f),
+                     "i": pa.array(rng.integers(0, 3, n), pa.int32(), mask=nulls(0.3)),
+                     "j": pa.array(rng.integers(0, 10**6, n), pa.int64(), mask=nulls(0.2)),
+                     "t": pa.array(rng.integers(0, 10**6, n).astype("datetime64[us]"),
+                                   pa.timestamp("us"), mask=nulls(0.2)),
                      "v": pa.array(np.arange(n), pa.int64())})
 
 
-def test_group_map_sees_each_group_in_one_call(ray_session):
-    """group_map's fn sees every group whole in exactly one call, even a
-    hot key holding half the rows at a 1 MiB target block size; null
-    strings and NaN group as one key each. The same sort followed by two
-    fused maps DOES split the hot key: the second map sees re-chunked
-    blocks, which is why fn must run in the first map after the sort."""
+# Ray 2.49's bare range sort returns some rows twice when a nullable int
+# key comes before another key, or the key is a nullable timestamp (400k
+# rows came back as 442k and 760k): group_map fills every key that may
+# hold null, whatever its type
+@pytest.mark.parametrize("keys", [["s", "f"], ["i", "j"], ["t"]], ids=["str-float", "int", "ts"])
+def test_group_map_sees_each_group_in_one_call(ray_session, keys):
+    """group_map's fn sees every group whole in exactly one call, and every
+    row once, at a 1 MiB target block size; nulls and NaN group as one key
+    each. The hot key ("hot", 1.0) holds half the rows; the same sort
+    followed by two fused maps DOES split it: the second map sees
+    re-chunked blocks, which is why fn must run in the first map after the
+    sort."""
     import uuid
 
     import duckdb
@@ -461,9 +477,8 @@ def test_group_map_sees_each_group_in_one_call(ray_session):
 
     def groups_per_call(b: pa.Table) -> pa.Table:
         # one row per group of a key-sorted block, tagged with this call
-        starts = np.flatnonzero(_group_starts(b, ["s", "f"]))
-        return pa.table({"s": b["s"].take(pa.array(starts, pa.int64())),
-                         "f": b["f"].take(pa.array(starts, pa.int64())),
+        starts = np.flatnonzero(_group_starts(b, keys))
+        return pa.table({**{c: b[c].take(pa.array(starts, pa.int64())) for c in keys},
                          "n": pa.array(np.diff(np.r_[starts, b.num_rows]), pa.int64()),
                          "call": pa.array([uuid.uuid4().hex] * len(starts))})
 
@@ -473,20 +488,23 @@ def test_group_map_sees_each_group_in_one_call(ray_session):
     ctx.target_max_block_size = 1 << 20
     try:
         ds = ray.data.from_arrow(t).repartition(8)
-        got = group_map(ds, ["s", "f"], groups_per_call).to_pandas()
-        twice = group_map(ds, ["s", "f"], lambda b: b).map_batches(
-            groups_per_call, batch_format="pyarrow", batch_size=None).to_pandas()
+        got = group_map(ds, keys, groups_per_call).to_pandas()
+        hot = keys == ["s", "f"]
+        if hot:
+            twice = group_map(ds, keys, lambda b: b).map_batches(
+                groups_per_call, batch_format="pyarrow", batch_size=None).to_pandas()
     finally:
         ctx.target_max_block_size = old
-    exp = duckdb.sql("SELECT s, isnan(f) AS nan_f, f, count(*) AS n FROM t "
-                     "GROUP BY ALL").df()
+    exp = duckdb.sql(f"SELECT count(*) AS n FROM t GROUP BY {', '.join(keys)}").df()
+    assert got["n"].sum() == len(t)
     assert len(got) == len(exp)  # no group reported twice
-    key = got.assign(nan_f=got["f"].isna())
-    assert not key.duplicated(["s", "nan_f", "f"]).any()
+    key = got.assign(nan_f=got["f"].isna()) if "f" in keys else got
+    assert not key.duplicated(keys + (["nan_f"] if "f" in keys else [])).any()
     assert sorted(got["n"]) == sorted(exp["n"])
-    assert got.loc[got["s"] == "hot", "n"].max() == len(t) // 2
-    hot_calls = twice[(twice["s"] == "hot") & (twice["f"] == 1.0)]["call"].nunique()
-    assert hot_calls > 1, "a second fused map no longer re-chunks: update group_map's docs"
+    if hot:
+        assert got.loc[got["s"] == "hot", "n"].max() == len(t) // 2
+        hot_calls = twice[(twice["s"] == "hot") & (twice["f"] == 1.0)]["call"].nunique()
+        assert hot_calls > 1, "a second fused map no longer re-chunks: update group_map's docs"
 
 
 def _empty_cases():
@@ -501,6 +519,8 @@ def _empty_cases():
                                  {"k", "s"}),
         "sort_grouped_top_k": (lambda ds: sort_grouped_top_k(ds, "k", "v", 2, tie_col="id"),
                                {"k", "v", "id", "ts", "rank"}),
+        "sort_grouped_top_k_keyless": (lambda ds: sort_grouped_top_k(ds, [], "v", 2, tie_col="id"),
+                                       {"k", "v", "id", "ts", "rank"}),
         "exact_grouped_quantile": (lambda ds: exact_grouped_quantile(ds, "k", "v"),
                                    {"k", "q_val", "n_rows"}),
         "sessionize": (lambda ds: sessionize(ds, "k", "ts", "id", gap_us=10),
