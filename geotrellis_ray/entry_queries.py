@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .core.layout import Extent, LayoutDefinition, TileLayout
+from .state.pool import actor_pool_size, cluster_cpus
 
 # ---------------------------------------------------------------------------
 # shared derivations (must match the SQL text below bit-for-bit)
@@ -77,16 +78,6 @@ def _cents(col: np.ndarray) -> np.ndarray:
     return np.round(col * 100.0).astype(np.int64)
 
 
-def _pool_size(frac: int = 4, lo: int = 2) -> int:
-    """Actor-pool size scaled to the cluster (flagship.py's measured sizing:
-    a heavy actor stage takes ~1/4 of pipeline CPU; a fixed tiny pool
-    starves it at 32 cpus while oversizing starves the task stages)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(lo, cpus // frac)
-
-
 def _read(sf_dir: str, table: str, columns=None):
     """Column-pruned parquet read. Ray's default parallelism oversplits tiny
     tables (64 blocks for 80 KB -> pure scheduling overhead), while a pure
@@ -103,7 +94,6 @@ def _read(sf_dir: str, table: str, columns=None):
     import os
 
     import pyarrow.parquet as pq
-    import ray
     import ray.data
 
     path = f"{sf_dir}/{table}.parquet"
@@ -111,8 +101,7 @@ def _read(sf_dir: str, table: str, columns=None):
     sz = os.path.getsize(path)
     if sz < 256 * 1024 * 1024:
         rows = pq.ParquetFile(path).metadata.num_rows
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        kw["override_num_blocks"] = max(1, min(cpus, rows // 4096))
+        kw["override_num_blocks"] = max(1, min(cluster_cpus(), rows // 4096))
     return ray.data.read_parquet(path, columns=columns, **kw)
 
 
@@ -710,7 +699,7 @@ def q_quality_scorer(sf_dir: str):
     from .functions.text_analysis import HashedNgramScorer
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(HashedNgramScorer, concurrency=2,
+    return ds.map_batches(HashedNgramScorer, concurrency=actor_pool_size(2),
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -1309,22 +1298,16 @@ SQL_TILE_ASSIGN = f"""
 def q_pip_rect_grid(sf_dir: str):
     """PIP join events x 16x8 world rectangle grid via the REAL geometry path
     (STRtree + even-odd PIP — the half-open rect rule makes it SQL-checkable)."""
-    import ray
-
     from .fixtures import gen_polygons_table
     from .stages.agg import partial_groupby
-    from .stages.pip_join import PipJoiner
+    from .stages.pip_join import pip_join
 
     polys = gen_polygons_table()
     grid = polys.filter(pa.compute.less(polys["polygon_id"], 128))
     ds = _read(sf_dir, "events", ["event_id"]).map_batches(
         lambda b: derive_coords_batch(b, "event_id"), batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(grid), "mode": "inner"},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=4096, concurrency=_pool_size(),
-    )
+    joined = pip_join(ds, grid, mode="inner", batch_size=4096)
     return partial_groupby(
         joined, ["polygon_id"],
         [("event_id", "count", "n_docs"), ("event_id", "min", "min_event")])
@@ -1413,7 +1396,6 @@ def q_knn_cell_pruned(sf_dir: str):
 
 def q_pyramid_counts(sf_dir: str):
     from .stages.pyramid import pyramid_up_counts
-    from ray.data.aggregate import Sum
 
     tiles = q_tile_assign_events(sf_dir)
     # z4 -> z3 parent merge (power-of-2 pyramid: parent = key >> 1)
@@ -2051,7 +2033,7 @@ def q_langid_docs(sf_dir: str):
     from .functions.text_analysis import LangId
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool_size()).select_columns(
+    return ds.map_batches(LangId, batch_format="pyarrow", zero_copy_batch=True, concurrency=actor_pool_size()).select_columns(
         ["doc_id", "lang_pred"]
     )
 
@@ -2069,7 +2051,7 @@ def q_doc_fingerprints(sf_dir: str):
     from .functions.text_analysis import Fingerprinter
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(Fingerprinter, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool_size())
+    out = ds.map_batches(Fingerprinter, batch_format="pyarrow", zero_copy_batch=True, concurrency=actor_pool_size())
 
     def summarize(b: pa.Table) -> pa.Table:
         n_fp, summod = [], []
@@ -2501,8 +2483,6 @@ def q_geojson_rects(sf_dir: str):
     import json
     import os
 
-    import ray.data
-
     from .core import wkb as wkb_mod
     from .core.geojson import geom_to_geojson, read_geojson
     from .fixtures import gen_rect_features
@@ -2873,7 +2853,7 @@ def q_audio_features(sf_dir: str):
     media = ds.map_batches(to_media, batch_format="pyarrow", zero_copy_batch=True)
     decoded = media.map_batches(
         AudioFrameSampler, fn_constructor_kwargs={"frames": 8},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=256, concurrency=_pool_size(),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=256, concurrency=actor_pool_size(),
     )
 
     def summarize(b: pa.Table) -> pa.Table:
@@ -3072,7 +3052,7 @@ def q_multimodal_stub(sf_dir: str):
     media = media.map_batches(media_meta_batch, batch_format="pyarrow", zero_copy_batch=True)
     decoded = media.map_batches(
         ImageDecoder, fn_constructor_kwargs={"target_size": 8},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=256, concurrency=_pool_size(),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=256, concurrency=actor_pool_size(),
     )
     return decoded.select_columns(["doc_id", "media_bytes", "img_h", "img_w"])
 
@@ -3120,10 +3100,8 @@ def q_histogram_sketch_breaks(sf_dir: str):
 def q_polygonal_summary(sf_dir: str):
     """Zonal stats over polygon regions: PIP join then grouped sum — the
     PolygonalSummary shape (SURVEY.md §2.5) on the SQL-parity rect grid."""
-    import ray
-
     from .stages.agg import partial_groupby
-    from .stages.pip_join import PipJoiner
+    from .stages.pip_join import pip_join
 
     polys = gen_polygons_table_cached()
     grid = polys.filter(pa.compute.less(polys["polygon_id"], 128))
@@ -3135,11 +3113,7 @@ def q_polygonal_summary(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "value"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(grid), "mode": "inner"},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=4096, concurrency=_pool_size(),
-    )
+    joined = pip_join(ds, grid, mode="inner", batch_size=4096)
     return partial_groupby(
         joined, ["polygon_id"],
         [("value_cents", "sum", "sum_value_cents"), ("value_cents", "count", "n_events"),
@@ -3188,7 +3162,7 @@ def q_polygonal_summary_fractional(sf_dir: str):
     layout = LayoutDefinition(Extent(0.0, 0.0, 48.0, 48.0), TileLayout(3, 3, 16, 16))
     tiles = _hash_grid_layer(3, 16, mod=251)
     return polygonal_summary_fractional(
-        tiles, ray.put(gen_halfcell_rects()), layout, concurrency=2)
+        tiles, ray.put(gen_halfcell_rects()), layout)
 
 
 def _sql_halfcell_rects() -> str:
@@ -5445,8 +5419,6 @@ def q_geom_measures(sf_dir: str):
     triangles derived from doc_id. SQL-checked bit-exact — every shoelace
     intermediate is an exact integer in float64; the three sqrt edge
     lengths sum left-to-right on both sides."""
-    import ray.data
-
     from .core.wkb import encode_polygon
     from .stages.overlay import geom_measures
 
@@ -5785,7 +5757,7 @@ def q_jpeg_features(sf_dir: str):
     media = ds.map_batches(to_media, batch_format="pyarrow", zero_copy_batch=True)
     return media.map_batches(
         ImageDecoder, fn_constructor_kwargs={}, batch_format="pyarrow",
-        concurrency=_pool_size(), batch_size=64)
+        concurrency=actor_pool_size(), batch_size=64)
 
 
 def q_bloom_dedup(sf_dir: str):
@@ -6702,20 +6674,13 @@ def q_flagship_tiles_events(sf_dir: str):
     casting bit-exact — q_pip_rect_grid covers only rectangles. The oracle
     carries the fixture's edge arrays as literals generated from the SAME
     _prep_parts precomputation the actors build (cannot drift)."""
-    import ray
-
     from .stages.agg import partial_groupby
-    from .stages.pip_join import PipJoiner
+    from .stages.pip_join import pip_join
 
     ds = _read(sf_dir, "events", ["event_id"]).map_batches(
         lambda b: derive_coords_batch(b, "event_id"),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(gen_polygons_table_cached()),
-                               "mode": "annotate"},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=4096,
-        concurrency=_pool_size())
+    joined = pip_join(ds, gen_polygons_table_cached(), mode="annotate", batch_size=4096)
 
     def keyed(b: pa.Table) -> pa.Table:
         t = _tile_keys_z4(b)
@@ -6967,7 +6932,7 @@ def q_voronoi_assign(sf_dir: str):
     import ray
 
     from .stages.overlay import voronoi_diagram
-    from .stages.pip_join import PipJoiner
+    from .stages.pip_join import pip_join
     from .stages.sample import mix32
 
     nk = np.sort(_read(sf_dir, "nation", ["n_nationkey"]).to_pandas()
@@ -6994,12 +6959,7 @@ def q_voronoi_assign(sf_dir: str):
 
     ds = ray.data.range(G * G, override_num_blocks=4).map_batches(
         grid, batch_format="pyarrow", zero_copy_batch=True)
-    joined = ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(cells), "mode": "inner"},
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=4096,
-        concurrency=_pool_size(),
-    )
+    joined = pip_join(ds, cells, mode="inner", batch_size=4096)
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({"sample_id": b["sample_id"],

@@ -26,30 +26,23 @@ _TOK_BITS = 20  # packed = doc_id << 20 | n_tokens; docs capped at ~1M tokens
 
 
 def curation_chain(ds, budget: int = 4096, id_col: str = "doc_id",
-                   text_col: str = "text",
-                   scorer_concurrency: int | None = None):
+                   text_col: str = "text"):
     """-> Dataset (doc_id, n_tokens, n_dupes, shard_id, offset_in_shard) for
     every document that (a) scores > 0 on the hashed-n-gram quality model
     and (b) is the minimal-id representative of its exact-text duplicate
     group — packed densely into ``budget``-token shards in doc_id order."""
-    import ray
-
     from ..functions.text_analysis import HashedNgramScorer, token_count_batch
     from ..stages.agg import pack_token_shards, sort_group_aggregate
     from ..stages.dedup import content_hash_batch
+    from ..state.pool import actor_pool_size
 
-    if scorer_concurrency is None:
-        # the scorer is the chain's dominant compute (a rolling 4-gram hash
-        # over every byte) — give it half the cluster as actors, leaving
-        # task slots for the read and the slim shuffles (2x at 200k docs/
-        # 24 cpus vs the old fixed pool of 2)
-        scorer_concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) // 2)
-
+    # the scorer is the chain's dominant compute (a rolling 4-gram hash over
+    # every byte): half the cluster as actors
     scored = ds.map_batches(
         HashedNgramScorer,
         fn_constructor_kwargs={"id_col": id_col, "text_col": text_col,
                                "passthrough": (text_col,)},
-        concurrency=scorer_concurrency,
+        concurrency=actor_pool_size(2),
         batch_format="pyarrow", zero_copy_batch=True)
 
     def keep_hash_pack(b: pa.Table) -> pa.Table:

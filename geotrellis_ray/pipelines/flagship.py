@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..stages.enrich import assign_keys_batch, enrich_batch
-from ..stages.pip_join import PipJoiner
+from ..stages.pip_join import pip_join
 from ..stages.tile_agg import tile_assignments
 
 
@@ -50,7 +50,6 @@ def flagship(
     polygons_ref: Any,
     zoom: int = 8,
     batch_size: int = 8192,
-    concurrency=None,
     verify_text: bool = False,
 ):
     """Full headline chain -> (joined_ds, tile_assignments_ds).
@@ -60,25 +59,8 @@ def flagship(
     ``tile_assignments_ds``: (key_col, key_row, sfc, n_docs, n_hits).
     Both are lazy; consume with write_parquet / to_pandas / count.
     """
-    if concurrency is None:
-        # scale the actor pool to the cluster: the PIP probe is the heavy
-        # stage, so a fixed cap would serialize it on a large cluster
-        import ray
-
-        # the PIP probe takes ~1/4 of pipeline CPU; oversizing its pool
-        # starves the enrichment task stages (measured: 8 actors beat 30
-        # on a 32-cpu node at 1.6M pages)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        concurrency = max(2, cpus // 4)
     enriched = enriched_pages(pages_ds, zoom=zoom, verify_text=verify_text)
-    joined = enriched.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": polygons_ref, "mode": "annotate"},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    joined = pip_join(enriched, polygons_ref, mode="annotate", batch_size=batch_size)
     tiles = tile_assignments(joined, sum_cols=("n_hits",))
     return joined, tiles
 

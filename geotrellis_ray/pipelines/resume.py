@@ -29,6 +29,8 @@ from typing import Callable
 
 import pyarrow as pa
 
+from ..state.pool import cluster_cpus
+
 
 def _content_hash(table: pa.Table) -> str:
     """Order-insensitive content hash: xor of row sha256s over canonical CSV
@@ -121,15 +123,13 @@ def run_resumable(
     on the driver — rows/bytes come from parquet footers and the optional
     content hash streams per row group (``hasher`` must therefore be
     order-insensitive and xor-combinable, as the default is)."""
-    import ray
     import ray.data  # noqa: F401  (pipeline_fn returns Datasets)
 
     lineage_dir = os.path.join(out_dir, "_lineage")
     os.makedirs(lineage_dir, exist_ok=True)
     shards = [input_files[i : i + shard_size] for i in range(0, len(input_files), shard_size)]
     if window is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        window = max(1, min(4, cpus // 8))
+        window = max(1, min(4, cluster_cpus() // 8))
     skipped = 0
     total_rows = 0
     t_start = time.monotonic()

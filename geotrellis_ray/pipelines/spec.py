@@ -69,40 +69,26 @@ def _op_assign_keys(ds, **kw):
     return ds.map_batches(lambda b: assign_keys_batch(b, **kw), batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _op_pip_join(ds, polygons, mode: str = "annotate", batch_size: int = 8192, concurrency=2, **kw):
+def _op_pip_join(ds, polygons, **kw):
     import pyarrow.parquet as pq
-    import ray
 
-    from ..stages.pip_join import PipJoiner
+    from ..stages.pip_join import pip_join
 
     table = pq.read_table(polygons) if isinstance(polygons, str) else polygons
-    return ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(table), "mode": mode, **kw},
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency,
-    )
+    return pip_join(ds, table, **kw)
 
 
-def _op_voronoi_assign(ds, sites, extent, mode: str = "annotate",
-                       batch_size: int = 8192, concurrency=2, **kw):
+def _op_voronoi_assign(ds, sites, extent, **kw):
     """Assign streamed points to the Voronoi cells of a (small, broadcast)
     site table: cells built once via stages/overlay.voronoi_diagram (the
     Delaunay dual), then the ordinary broadcast PIP join."""
     import pyarrow.parquet as pq
-    import ray
 
     from ..stages.overlay import voronoi_diagram
-    from ..stages.pip_join import PipJoiner
+    from ..stages.pip_join import pip_join
 
     table = pq.read_table(sites) if isinstance(sites, str) else sites
-    cells = voronoi_diagram(table, tuple(extent))
-    return ds.map_batches(
-        PipJoiner,
-        fn_constructor_kwargs={"polygons": ray.put(cells), "mode": mode, **kw},
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency,
-    )
+    return pip_join(ds, voronoi_diagram(table, tuple(extent)), **kw)
 
 
 def _op_tile_assignments(ds, **kw):
@@ -437,11 +423,15 @@ def _op_pack_spans(ds, budget: int, id_col: str = "doc_id",
     return pack_token_spans(ds, budget, id_col=id_col, tokens_col=tokens_col)
 
 
-def _op_quality_scorer(ds, concurrency: int = 2, **kw):
-    from ..functions.text_analysis import HashedNgramScorer
+def _op_quality_scorer(ds, **kw):
+    import inspect
 
+    from ..functions.text_analysis import HashedNgramScorer
+    from ..state.pool import actor_pool_size
+
+    inspect.signature(HashedNgramScorer).bind(**kw)  # unknown keys fail here, not in an actor
     return ds.map_batches(HashedNgramScorer, fn_constructor_kwargs=kw,
-                          concurrency=concurrency,
+                          concurrency=actor_pool_size(2),
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -491,7 +481,6 @@ def _op_weighted_sample(ds, id_col: str, weight_col: str, k: int):
 def _op_render_png(ds, breaks, colors, nodata_color=(0, 0, 0, 0)):
     """Tile layer -> (key_col, key_row, png:binary) via ColorMap. The last
     mile of the GeoTrellis ETL (render a pyramid level to map tiles)."""
-    import numpy as np
     import pyarrow as pa
 
     from ..core.raster import decode_tile

@@ -27,7 +27,6 @@ import pyarrow as pa
 
 from ..core.layout import Extent, LayoutDefinition
 from ..core.raster import decode_tile, encode_tile, merge as tile_merge
-from ..core.sfc import zorder
 from ..stages._arrow_groups import one_tile, views
 from ..stages.agg import each_group, group_map
 

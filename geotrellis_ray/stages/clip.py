@@ -27,7 +27,6 @@ from ..core.geom import (
     clip_linestring_rect,
     clip_polygon_rect,
     geom_bbox,
-    point_in_polygon_geom,
 )
 from ..core.layout import Extent, LayoutDefinition
 

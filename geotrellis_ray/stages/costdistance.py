@@ -30,7 +30,6 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.raster import decode_tile, encode_tile
-from ..core.sfc import zorder
 from ._arrow_groups import ints, one_tile, tile_table, views
 from .agg import each_group, group_map
 

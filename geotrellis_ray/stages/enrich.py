@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.cellid import cell_hexlike, cell_s2like
-from ..core.geocode import geocode_batch, hash_coords, url_hash64_column
+from ..core.geocode import hash_coords, url_hash64_column
 from ..core.layout import LayoutDefinition, ZoomedLayoutScheme, latlng_to_key
 from ..core.sfc import sfc_key
 from ..core.text import extract_text_arrow
@@ -45,8 +45,6 @@ def enrich_batch(batch: pa.Table, keep_html: bool = False, verify_text: bool = F
     # geotag override: vectorized binary scan finds the ~10% of rows with a
     # tag; only those are materialized to Python (was: full-column to_pylist)
     import pyarrow.compute as pc
-
-    from ..core.geocode import parse_geotag
 
     h = url_hash64_column(batch["url"])
     lat, lon = hash_coords(h)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.raster import decode_tile, encode_tile
 from .costdistance import bsp_round
 from .layer_ops import batch_to_cube, buffer_tiles, _tile_table
 

@@ -29,6 +29,7 @@ import pyarrow as pa
 from ..core.layout import LayoutDefinition
 from ..core.raster import cell_centers, encode_tile
 from ..core.sfc import zorder
+from ..state.pool import actor_pool_size
 from ._arrow_groups import one_tile
 from .agg import each_group, group_map
 
@@ -234,16 +235,6 @@ class _DistanceSurface(_SampleSurface):
         return np.sqrt(d2.min(axis=1)).reshape(trr, tc)
 
 
-def _pool(requested: int) -> int:
-    """Clamp an actor-pool size so it never consumes every CPU of a small
-    cluster (a pool of cpus x 1-cpu actors starves the producing/reducing
-    tasks — the documented join-actor deadlock shape)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, min(requested, cpus - 1, cpus // 2 + 1))
-
-
 def _put_samples(points: "pa.Table | pd.DataFrame", x_col, y_col, value_col):
     import ray
 
@@ -263,7 +254,7 @@ def _put_samples(points: "pa.Table | pd.DataFrame", x_col, y_col, value_col):
 def idw_interpolation(points, layout: LayoutDefinition, key_bounds,
                       power: float = 2.0, radius: float | None = None,
                       x_col: str = "x", y_col: str = "y",
-                      value_col: str = "value", concurrency: int = 4):
+                      value_col: str = "value"):
     """InverseDistanceWeighted over the key_bounds tile grid: value(cell) =
     sum(v_i / d_i^p) / sum(1 / d_i^p); exact sample hit -> sample value;
     `radius` limits contributing samples (cells with none -> NoData)."""
@@ -271,12 +262,11 @@ def idw_interpolation(points, layout: LayoutDefinition, key_bounds,
     keys = _keys_dataset(layout, key_bounds)
     return keys.map_batches(
         _IdwSurface, fn_constructor_args=(ref, layout, power, radius),
-        batch_format="pyarrow", concurrency=_pool(concurrency), batch_size=16)
+        batch_format="pyarrow", concurrency=actor_pool_size(), batch_size=16)
 
 
 def euclidean_distance(points, layout: LayoutDefinition, key_bounds,
-                       x_col: str = "x", y_col: str = "y",
-                       concurrency: int = 4):
+                       x_col: str = "x", y_col: str = "y"):
     """EuclideanDistanceTile: per-cell distance to the nearest sample point
     (direct vectorized min over the broadcast sample set; the reference uses
     a Delaunay dual — same values, different algorithm)."""
@@ -284,7 +274,7 @@ def euclidean_distance(points, layout: LayoutDefinition, key_bounds,
     keys = _keys_dataset(layout, key_bounds)
     return keys.map_batches(
         _DistanceSurface, fn_constructor_args=(ref, layout),
-        batch_format="pyarrow", concurrency=_pool(concurrency), batch_size=16)
+        batch_format="pyarrow", concurrency=actor_pool_size(), batch_size=16)
 
 
 # --- Ordinary Kriging (round 3) ---------------------------------------------
@@ -430,7 +420,7 @@ def ordinary_kriging(points, layout: LayoutDefinition, key_bounds,
                      model: str = "spherical",
                      params: tuple[float, float, float] | None = None,
                      x_col: str = "x", y_col: str = "y",
-                     value_col: str = "value", concurrency: int = 4):
+                     value_col: str = "value"):
     """Ordinary Kriging surface over the key_bounds tile grid; ``params`` =
     (nugget, psill, range), fitted from the samples via ``fit_variogram``
     when omitted. Same broadcast-samples actor-pool shape as IDW: the
@@ -441,7 +431,7 @@ def ordinary_kriging(points, layout: LayoutDefinition, key_bounds,
     keys = _keys_dataset(layout, key_bounds)
     return keys.map_batches(
         _KrigingSurface, fn_constructor_args=(ref, layout, model, params),
-        batch_format="pyarrow", concurrency=_pool(concurrency), batch_size=16)
+        batch_format="pyarrow", concurrency=actor_pool_size(), batch_size=16)
 
 
 def _drift_basis(xs: np.ndarray, ys: np.ndarray, drift: str,
@@ -512,7 +502,7 @@ def universal_kriging(points, layout: LayoutDefinition, key_bounds,
                       model: str = "spherical", drift: str = "linear",
                       params: tuple[float, float, float] | None = None,
                       x_col: str = "x", y_col: str = "y",
-                      value_col: str = "value", concurrency: int = 4):
+                      value_col: str = "value"):
     """Universal Kriging surface (round 4, VERDICT r03 optional #9): ordinary
     kriging plus a polynomial trend/drift — exactly reproduces fields with a
     global linear/quadratic trend that OK flattens toward the sample mean.
@@ -525,7 +515,7 @@ def universal_kriging(points, layout: LayoutDefinition, key_bounds,
     return keys.map_batches(
         _UniversalKrigingSurface,
         fn_constructor_args=(ref, layout, model, params, drift),
-        batch_format="pyarrow", concurrency=_pool(concurrency), batch_size=16)
+        batch_format="pyarrow", concurrency=actor_pool_size(), batch_size=16)
 
 
 # --- Delaunay TIN surface (round 3) ------------------------------------------
@@ -550,7 +540,7 @@ class _TinSurface(_SampleSurface):
 
 def tin_interpolation(points, layout: LayoutDefinition, key_bounds,
                       x_col: str = "x", y_col: str = "y",
-                      value_col: str = "value", concurrency: int = 4):
+                      value_col: str = "value"):
     """DelaunayRasterizer equivalent: triangulate the samples, rasterize the
     linear TIN surface over the key_bounds tile grid. Same broadcast-samples
     actor-pool shape as IDW/Kriging."""
@@ -558,4 +548,4 @@ def tin_interpolation(points, layout: LayoutDefinition, key_bounds,
     keys = _keys_dataset(layout, key_bounds)
     return keys.map_batches(
         _TinSurface, fn_constructor_args=(ref, layout),
-        batch_format="pyarrow", concurrency=_pool(concurrency), batch_size=16)
+        batch_format="pyarrow", concurrency=actor_pool_size(), batch_size=16)

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.sfc import zorder
+from ..state.pool import cluster_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +46,7 @@ _BROADCAST_HOW = ("inner", "left_outer")
 def _join_partitions() -> int:
     """Ray hash joins spawn num_partitions aggregator ACTORS; size to the
     cluster (chained joins beyond it deadlock silently)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(16, cpus // 2))
+    return max(2, min(16, cluster_cpus() // 2))
 
 
 def _normalize_blocks(ds, n: int):

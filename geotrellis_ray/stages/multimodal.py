@@ -249,21 +249,20 @@ class ImageDHasher:
 
 def image_near_dups(ds, max_hamming: int = 3, media_col: str = "media",
                     id_col: str = "doc_id", fake: bool = False,
-                    concurrency=None, batch_size: int = 64):
+                    batch_size: int = 64):
     """Image near-dup pairs: actor-pool dHash (small batch_size — binary
     payloads dominate block memory) then the shared 4x16-bit band blocking
     + all-pairs Hamming verify (stages/dedup.py:hamming_band_pairs). Only
     slim (id, dhash) rows ever shuffle; pixels never leave the decode
     stage."""
-    from .dedup import _default_pool, hamming_band_pairs
+    from ..state.pool import actor_pool_size
+    from .dedup import hamming_band_pairs
 
-    if concurrency is None:
-        concurrency = _default_pool()
     hashed = ds.map_batches(
         ImageDHasher,
         fn_constructor_kwargs={"fake": fake, "media_col": media_col,
                                "id_col": id_col},
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, batch_size=batch_size,
+        concurrency=actor_pool_size(), batch_size=batch_size,
     )
     return hamming_band_pairs(hashed, "dhash", id_col, max_hamming)

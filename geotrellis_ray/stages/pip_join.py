@@ -5,11 +5,10 @@ Broadcast-small-side design (SURVEY.md §2.4 VectorJoin): the polygon table is
 ``ray.put`` once on the driver; each actor builds a
 :class:`~geotrellis_ray.state.polygon_index.PolygonIndex` (STRtree + decoded
 rings) in ``__init__`` — ONCE per actor, never per batch — and probes each
-Arrow batch vectorized. Use as::
+Arrow batch vectorized. :func:`pip_join` is the one place that builds the
+pool (sized by ``state.pool.actor_pool_size``)::
 
-    ref = ray.put(polygons_table)
-    ds.map_batches(PipJoiner, fn_constructor_kwargs={"polygons": ref},
-                   batch_format="pyarrow", batch_size=8192, concurrency=(2, 8))
+    joined = pip_join(ds, polygons_table_or_ref, mode="inner")
 
 Modes:
 - ``mode="annotate"`` (default): per-page primary hit -> adds ``polygon_id``
@@ -29,6 +28,7 @@ import pyarrow as pa
 
 from ..state.broadcast import get
 from ..state.polygon_index import PolygonIndex
+from ..state.pool import actor_pool_size
 
 
 class PipJoiner:
@@ -55,3 +55,20 @@ class PipJoiner:
         hit[pi] = True
         keep = hit if self.mode == "semi" else ~hit
         return batch.filter(pa.array(keep))
+
+
+def pip_join(ds, polygons, mode: str = "annotate", batch_size: int = 8192,
+             lat_col: str = "lat", lon_col: str = "lon"):
+    """Join a point Dataset against a polygon table (or an ObjectRef to one)
+    through a :class:`PipJoiner` actor pool. A table is ``ray.put`` once
+    here, so every actor reads the same object-store copy."""
+    import ray
+
+    ref = polygons if isinstance(polygons, ray.ObjectRef) else ray.put(polygons)
+    return ds.map_batches(
+        PipJoiner,
+        fn_constructor_kwargs={"polygons": ref, "mode": mode,
+                               "lat_col": lat_col, "lon_col": lon_col},
+        batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size, concurrency=actor_pool_size(),
+    )

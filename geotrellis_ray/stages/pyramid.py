@@ -80,8 +80,6 @@ def pyramid_up_levels(tiles_ds, catalog: str, name: str, zoom: int, down_to: int
     each level to ``{catalog}/{name}/{z}/`` (SFC-sorted, bucketed) down to
     ``down_to``. One small parent-key shuffle per level; each written level
     seeds the next, so nothing is recomputed. Returns {zoom: layer_path}."""
-    import ray.data
-
     from ..sources.layer import read_layer, write_layer
 
     paths = {zoom: write_layer(tiles_ds, catalog, name, zoom)}

@@ -21,7 +21,6 @@ import pyarrow as pa
 from ..core.layout import Extent, LayoutDefinition
 from ..core.mercator import latlng_to_webmercator, webmercator_to_latlng
 from ..core.raster import INT_NODATA, decode_tile, encode_tile, merge as tile_merge
-from ..core.sfc import zorder
 from ._arrow_groups import one_tile, views
 from .agg import each_group, group_map
 

@@ -18,7 +18,6 @@ per-zone variants. This is the canonical partial+final aggregate.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core.histogram import FastMapHistogram, StreamingHistogram
@@ -239,7 +238,7 @@ class _FractionalSummarizer:
         })
 
 
-def polygonal_summary_fractional(tiles_ds, polygons_ref, layout, concurrency: int = 4):
+def polygonal_summary_fractional(tiles_ds, polygons_ref, layout):
     """Polygonal summary with FRACTIONAL cell weights — the GeoTrellis
     FractionalRasterizer semantics (ref:raster/src/main/scala/geotrellis/
     raster/rasterize/polygon/FractionalRasterizer.scala and
@@ -257,13 +256,14 @@ def polygonal_summary_fractional(tiles_ds, polygons_ref, layout, concurrency: in
     wmean (wsum/area), min_v, max_v."""
     import pyarrow.compute as pc
 
+    from ..state.pool import actor_pool_size
     from .agg import partial_groupby
 
     partials = tiles_ds.map_batches(
         _FractionalSummarizer,
         fn_constructor_args=(polygons_ref, layout),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=actor_pool_size(),
     )
     g = partial_groupby(partials, ["polygon_id"], [
         ("n_cells", "sum", "n_cells"),

@@ -1,16 +1,10 @@
-"""Broadcast helpers: ship a small table/object to every actor ONCE via
+"""Broadcast helper: a small table/object ships to every actor ONCE via
 ``ray.put`` (object-store shared memory), never per batch (SURVEY.md §4
 "Broadcast"). Actors call :func:`get` in ``__init__``."""
 
 from __future__ import annotations
 
 from typing import Any
-
-
-def put(obj: Any):
-    import ray
-
-    return ray.put(obj)
 
 
 def get(ref_or_obj: Any) -> Any:

@@ -1,7 +1,6 @@
 """Global/local Moran's I (stages/autocorr.py) vs a brute double-loop
 oracle over the stitched mosaic, incl. NoData holes and tile boundaries."""
 import numpy as np
-import pyarrow as pa
 
 from tests.test_enhance import _layer, _mosaic
 

@@ -26,7 +26,6 @@ def _docs():
 
 
 def test_curation_chain_brute(ray_session):
-    import pandas as pd
     import ray.data
 
     from geotrellis_ray.functions.text_analysis import HashedNgramScorer

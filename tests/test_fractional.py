@@ -42,7 +42,7 @@ def _values():
 def _run(polys: pa.Table):
     import ray
 
-    out = polygonal_summary_fractional(_grid_layer(), ray.put(polys), LAYOUT, concurrency=2)
+    out = polygonal_summary_fractional(_grid_layer(), ray.put(polys), LAYOUT)
     return {int(r["polygon_id"]): r for r in out.take_all()}
 
 

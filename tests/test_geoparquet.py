@@ -3,7 +3,6 @@ content, bbox/type stats, validation failures, and the WKB roundtrip."""
 
 import json
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest

@@ -5,7 +5,6 @@ orientation, and the distributed vector_tiles fmt="mvt" path."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from geotrellis_ray.core.mvt import (
     GEOM_LINESTRING,
@@ -104,7 +103,6 @@ def test_geom_dict_bridge_multipolygon():
 
 
 def test_vector_tiles_mvt_distributed(ray_session):
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 

@@ -3,7 +3,6 @@ row-identical to the hash-join (at-scale) regime, including inner-join
 semantics for pair ids missing from the corpus."""
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def _fixture():

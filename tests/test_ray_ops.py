@@ -1,8 +1,6 @@
 """Ray Data operator tests: rasterize, pyramid, kNN, joins, dedup, ANN,
 stats — each against a brute-force oracle or duckdb."""
 
-import json
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa

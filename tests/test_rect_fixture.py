@@ -5,7 +5,6 @@ coordinates — and check the engine's clip cover against the integer closed
 form the DuckDB oracle uses, without Ray.
 """
 import numpy as np
-import pyarrow as pa
 
 from geotrellis_ray.core.layout import Extent, LayoutDefinition, TileLayout
 from geotrellis_ray.fixtures import gen_rect_features

@@ -17,8 +17,6 @@ def _corpus():
 
 
 def _brute(tab, terms, k1=1.2, b=0.75, top_k=20):
-    import re
-
     docs = tab.to_pandas()
     docs["dl"] = docs["text"].str.count(r"\S+")
     for i, t in enumerate(terms):
@@ -75,7 +73,7 @@ def test_bm25_no_matches_and_bad_terms(ray_session):
 def test_hnsw_recall_and_determinism(ray_session):
     import ray.data
 
-    from geotrellis_ray.stages.ann import HNSWIndex, _normalize, ann_brute_force, ann_hnsw
+    from geotrellis_ray.stages.ann import _normalize, ann_brute_force, ann_hnsw
 
     rng = np.random.default_rng(2)
     centers = _normalize(rng.normal(size=(10, 32)).astype(np.float32))

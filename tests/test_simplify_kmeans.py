@@ -3,7 +3,6 @@ SemDeDup-style semantic dedup with planted structure."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,8 +161,6 @@ def test_semantic_dedup_subsplit_bounds_groups(ray_session):
     """The secondary code actually bounds subcluster sizes: with 2^8 codes
     over 600 spread vectors no (cluster, sub) group should hold a large
     fraction of the cluster."""
-    import ray.data as rd
-
     from geotrellis_ray.stages.ann import hyperplanes
 
     rng = np.random.default_rng(37)

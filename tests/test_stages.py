@@ -1,8 +1,6 @@
 """Ray Data stage tests: enrichment, PIP join, tile aggregation, layer IO —
 each asserted against the brute-force oracle (SURVEY.md §5 pattern)."""
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -11,7 +9,6 @@ from geotrellis_ray import fixtures
 from geotrellis_ray.core.geocode import geocode_batch
 from geotrellis_ray.core.layout import KeyBounds, ZoomedLayoutScheme, latlng_to_key
 from geotrellis_ray.core.sfc import zorder
-from geotrellis_ray.core.text import extract_text
 from geotrellis_ray.sources.layer import read_layer, read_layer_metadata, value_read, write_layer
 from geotrellis_ray.stages.enrich import assign_keys_batch, enrich_batch
 from geotrellis_ray.stages.pip_join import PipJoiner
@@ -209,7 +206,7 @@ def test_flagship_end_to_end(pages_table, polygons, ray_session):
     from geotrellis_ray.pipelines.flagship import flagship
 
     ds = ray.data.from_arrow(pages_table)
-    joined, tiles = flagship(ds, ray.put(polygons), zoom=ZOOM, batch_size=256, concurrency=2, verify_text=True)
+    joined, tiles = flagship(ds, ray.put(polygons), zoom=ZOOM, batch_size=256, verify_text=True)
     tp = tiles.to_pandas()
     assert int(tp["n_docs"].sum()) == N_PAGES
     assert (tp["n_hits"] >= tp["n_docs"]).all()  # world grid guarantees >= 1 hit/page

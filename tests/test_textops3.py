@@ -15,7 +15,6 @@ from geotrellis_ray.functions.text_analysis import (
     domain_of_batch,
     pii_redact_batch,
     synth_pii_batch,
-    synth_url_batch,
 )
 from geotrellis_ray.stages.dedup import _gram_hash64, exact_substring_spans
 

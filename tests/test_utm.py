@@ -14,7 +14,6 @@ from geotrellis_ray.core.utm import (
     lonlat_to_utm_zone,
     meridian_arc_numeric,
     parse_utm_crs,
-    tm_forward,
     utm_to_latlng,
     utm_zone_lon0,
 )

@@ -137,7 +137,7 @@ def test_voronoi_spec_op(ray_session, tmp_path):
     out = run_spec([
         {"op": "read.parquet", "path": pp},
         {"op": "join.voronoi", "sites": sp, "extent": [-10, -10, 10, 10],
-         "mode": "inner", "concurrency": 2},
+         "mode": "inner"},
     ]).to_pandas()
     assert len(out) == 200
     qx, qy = out["lon"].to_numpy(), out["lat"].to_numpy()
