@@ -29,9 +29,13 @@ _WKB_TYPE_NAMES = {1: "Point", 2: "LineString", 3: "Polygon",
 
 
 def _batch_geo_stats(b: pa.Table, wkb_col: str) -> pa.Table:
-    """Per-batch partial: distinct WKB type names + bbox."""
+    """Per-batch partial: distinct WKB type names + bbox; no rows for a
+    batch with no rows (its bounds would be +-inf, which JSON cannot hold)."""
     from . import wkb as wkb_mod
 
+    if b.num_rows == 0:
+        return pa.table({"types": pa.array([], pa.string()),
+                         **{c: pa.array([], pa.float64()) for c in ("xmin", "ymin", "xmax", "ymax")}})
     types: set[str] = set()
     xmin = ymin = np.inf
     xmax = ymax = -np.inf

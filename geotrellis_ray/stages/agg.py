@@ -13,8 +13,10 @@ picks the merge from its size in bytes: on the driver up to
 ``_SINGLE_DRIVER_MAX_BYTES``, one whole block up to
 ``_SINGLE_FINAL_MAX_BYTES``, a range sort above (``sort_group_aggregate``
 and ``sort_grouped_top_k``, built for #groups ~ #rows). No call site picks.
-A driver-merged or empty answer comes back materialized (``_answer``), so
-reading it starts no second Ray Data execution.
+A driver answer comes back materialized, so reading it starts no second
+Ray Data execution: when the partial stream is one block in which no group
+repeats, that block is the answer and the stream itself is returned;
+otherwise the driver rebuilds it (``_answer``).
 Keyless ``grouped_top_k`` is ORDER BY ... LIMIT k. Exact grouped COUNT
 DISTINCT and MODE are compositions of the two (``sort_group_count_distinct``,
 ``sort_group_mode``), so they take the same merges and null semantics.
@@ -49,6 +51,10 @@ _SINGLE_DRIVER_MAX_BYTES = 4 << 20
 # would build itself. Bytes, not rows: partial rows with text keys are 10x
 # the size of rows with integer keys. Above it the merge is a range sort.
 _SINGLE_FINAL_MAX_BYTES = 128 << 20
+# partial_groupby's combiner reduces batches of up to this many input rows:
+# Ray bundles small blocks into one task until they hold this many rows, and
+# the batch is a zero-copy chunked view of them
+_COMBINE_BATCH_ROWS = 1 << 18
 
 
 def _empty_input(ds) -> pa.Table | None:
@@ -65,7 +71,10 @@ def _answer(t: pa.Table):
     it again starts no streaming execution. ``from_blocks`` computes the
     block's metadata on the driver, where ``from_arrow`` runs a remote
     metadata task (~6 ms); ``materialize()`` of a source that holds its
-    data skips execution and marks the plan executed."""
+    data skips execution and marks the plan executed. It still builds three
+    Datasets (~1.3 ms each, a stats-actor round trip) and puts the block
+    again, so ``_grouped_final`` calls it only when the partial stream is
+    not already the answer."""
     import ray.data as rd
 
     return rd.from_blocks([t]).materialize()
@@ -89,16 +98,20 @@ def _grouped_final(ds, partial, reduce, sort, empty, site: str):
     the range-sort merge for a stream too large for one block; ``empty``
     maps a zero-row table with ``ds``'s schema to the typed answer when
     there are no partial rows at all. Logs ``{site, choice, partial_rows,
-    partial_bytes, threshold}`` at DEBUG.
+    partial_bytes, threshold, answer}`` at DEBUG; ``answer`` is "partial"
+    when the stream itself is returned, else "rebuilt".
 
-    The driver and empty answers come back materialized (``_answer``), so
-    reading them starts no second execution; an input with neither rows nor
-    a schema gives an answer with neither. The stream is materialized to be
+    The driver branch returns the materialized stream itself when it is
+    one block that ``reduce`` leaves with the same row count and schema: no
+    group repeats in it, so the block already is the answer. Otherwise the
+    driver answer is rebuilt (``_answer``); keyless ``partial_groupby`` and
+    ``grouped_top_k`` add or drop columns in ``reduce``, so they always
+    are. Either way a driver answer is one materialized block, so reading
+    it starts no second execution; an input with neither rows nor a schema
+    gives an answer with neither. The stream is materialized to be
     measured, so on the sort branch its blocks stay in the object store
     while the sort runs (~2x the stream at the peak; the sort would hold its
     own copy of them anyway)."""
-    import ray
-
     partial = partial.materialize()
     n, size = partial.count(), partial.size_bytes()
     if n == 0 or size <= _SINGLE_DRIVER_MAX_BYTES:
@@ -107,19 +120,34 @@ def _grouped_final(ds, partial, reduce, sort, empty, site: str):
         choice, threshold = "one_block", _SINGLE_FINAL_MAX_BYTES
     else:
         choice, threshold = "sort", _SINGLE_FINAL_MAX_BYTES
+    out = _driver_final(ds, partial, n, reduce, empty) if choice == "driver" else None
     logger.debug("grouped final %s", {"site": site, "choice": choice, "partial_rows": n,
-                                      "partial_bytes": size, "threshold": threshold})
-    if n == 0:
-        t0 = _empty_input(ds)
-        return partial if t0 is None else _answer(empty(t0))
-    if choice == "driver":
-        parts = [t for t in ray.get(partial.to_arrow_refs()) if t.num_rows]
-        return _answer(reduce(pa.concat_tables(parts)))
+                                      "partial_bytes": size, "threshold": threshold,
+                                      "answer": "partial" if out is partial else "rebuilt"})
+    if out is not None:
+        return out
     if choice == "one_block":
         # batch_size=None = the whole (single) block in one batch -> exact
         return partial.repartition(1).map_batches(
             reduce, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
     return sort(partial)
+
+
+def _driver_final(ds, partial, n: int, reduce, empty):
+    """``_grouped_final``'s driver answer for a materialized stream of ``n``
+    rows: the stream itself when it is one block that ``reduce`` leaves
+    unchanged in row count and schema, else one rebuilt block."""
+    import ray
+
+    if n == 0:
+        t0 = _empty_input(ds)
+        return partial if t0 is None else _answer(empty(t0))
+    blocks = ray.get(partial.to_arrow_refs())
+    parts = [t for t in blocks if t.num_rows]
+    t = reduce(pa.concat_tables(parts))
+    if len(blocks) == 1 and t.num_rows == n and t.schema.equals(parts[0].schema):
+        return partial
+    return _answer(t)
 
 
 def _group_starts(t: pa.Table, keys) -> np.ndarray:
@@ -350,22 +378,19 @@ def partial_groupby(ds, keys, specs, final=None):
             b = b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8)))
         return _batch_partial(b, gkeys, specs)
 
-    partial = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-    # tree combine: coalesce many small partial blocks per task before the
-    # final merge. count partials re-merge as sum; min/max/sum are
-    # self-mergeable. Ray fuses this map into a task-based upstream map,
-    # which then bundles >= 262k input rows per task.
+    # one combiner map: Ray bundles small blocks into one task up to
+    # _COMBINE_BATCH_ROWS rows, which get one group_by per batch, so many
+    # small blocks leave few partial blocks (a task-based upstream map fuses
+    # in and bundles the same way). A one-block stream with unique groups
+    # is then the answer as it is (``_grouped_final``).
+    partial = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True,
+                             batch_size=_COMBINE_BATCH_ROWS)
+    # count partials re-merge as sum; min/max/sum are self-mergeable
     merge_specs = [(alias, "sum" if fn in ("sum", "count") else fn, alias) for _c, fn, alias in specs]
-
-    def merge(b: pa.Table) -> pa.Table:
-        return _batch_partial(b, gkeys, merge_specs)
-
-    partial = partial.map_batches(merge, batch_format="pyarrow", zero_copy_batch=True,
-                                  batch_size=1 << 18)
     out_cols = keys + [alias for _c, _f, alias in specs]
 
     def answer(t: pa.Table) -> pa.Table:
-        return merge(t).select(out_cols)
+        return _batch_partial(t, gkeys, merge_specs).select(out_cols)
 
     return _grouped_final(
         ds, partial, answer,

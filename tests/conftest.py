@@ -48,3 +48,23 @@ def executions(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return counter
+
+
+@pytest.fixture
+def datasets(monkeypatch):
+    """Counts the ``ray.data.Dataset`` constructions (a ``MaterializedDataset``
+    too) while the test runs: ``datasets.n``, resettable like ``executions``.
+    In Ray 2.49 each construction is a stats-actor round trip."""
+    import types
+
+    from ray.data import Dataset
+
+    counter = types.SimpleNamespace(n=0)
+    init = Dataset.__init__
+
+    def counted(self, *args, **kwargs):
+        counter.n += 1
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "__init__", counted)
+    return counter

@@ -67,3 +67,38 @@ def test_read_rejects_missing_dir(tmp_path):
 
     with pytest.raises(FileNotFoundError):
         read_geoparquet_metadata(str(tmp_path / "nope"))
+
+
+def _strict_json(blob):
+    """json.loads that rejects Infinity and NaN, which are not JSON."""
+    def bad(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(blob, parse_constant=bad)
+
+
+def test_geo_stats_of_an_empty_batch_has_no_rows():
+    from geotrellis_ray.core.geoparquet import _batch_geo_stats
+
+    full = _batch_geo_stats(_geoms_table(), "wkb")
+    empty = _batch_geo_stats(_geoms_table().slice(0, 0), "wkb")
+    assert empty.num_rows == 0 and empty.schema == full.schema
+
+
+def test_zero_row_write_has_no_bbox(ray_session, tmp_path):
+    """A zero-row dataset with a schema writes valid JSON metadata without
+    a bbox, in the returned dict and in any footer written (Ray 2.49 writes
+    no file for zero rows)."""
+    import glob
+
+    import ray.data
+
+    from geotrellis_ray.core.geoparquet import write_geoparquet
+
+    d = str(tmp_path / "gp0")
+    meta = write_geoparquet(ray.data.from_arrow(_geoms_table().slice(0, 0)), d)
+    blobs = [json.dumps(meta, sort_keys=True)] + [
+        pq.read_schema(f).metadata[b"geo"] for f in glob.glob(d + "/*.parquet")]
+    for blob in blobs:
+        col = _strict_json(blob)["columns"]["wkb"]
+        assert "bbox" not in col and col["geometry_types"] == []

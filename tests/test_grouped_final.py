@@ -5,7 +5,9 @@ Each branch is forced here by
 patching the two thresholds, and each must match DuckDB on nulls (in keys
 and values), int32, uint64 >= 2^63, float32, NaN, one-row and empty blocks,
 and on an empty dataset, which gives a typed empty table. The branch taken
-is read from the engine's decision log."""
+is read from the engine's decision log, and so is the driver answer's
+origin: the partial block itself when it is one block with unique groups,
+else a rebuilt one. Every driver answer is one block."""
 
 from __future__ import annotations
 
@@ -90,6 +92,8 @@ def _run(fn, branch, monkeypatch, caplog):
         ds = fn().materialize()
     log = [r for r in caplog.records if r.name == agg_mod.__name__][-1].args
     monkeypatch.undo()
+    if log["choice"] == "driver":
+        assert ds.num_blocks() == 1
     parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
     return (pa.concat_tables(parts) if parts else None), log
 
@@ -108,7 +112,14 @@ def test_partial_groupby_matches_duckdb(ray_session, monkeypatch, caplog, branch
                     monkeypatch, caplog)
     assert log["site"] == "stages.agg.partial_groupby"
     assert log["choice"] == _choice(branch, empty)
-    src = T.slice(0, 0) if empty else T
+    # the four input blocks meet in one combiner batch, so a keyed driver
+    # answer is that partial block; keyless reduce drops the constant key
+    reused = branch == "driver" and keys and not empty
+    assert log["answer"] == ("partial" if reused else "rebuilt")
+    _check_groupby(got, keys, T.slice(0, 0) if empty else T)
+
+
+def _check_groupby(got: pa.Table, keys, src: pa.Table):
     types = {c: src.schema.field(c).type for c in keys} | AGG_TYPES
     assert {f.name: f.type for f in got.schema} == types
     con = duckdb.connect()
@@ -118,6 +129,31 @@ def test_partial_groupby_matches_duckdb(ray_session, monkeypatch, caplog, branch
                       f"FROM (SELECT 0 AS g, * FROM t) GROUP BY {group}").arrow()
     cols = keys + list(AGG_TYPES)
     assert _rowset(got, cols) == _rowset(exp, cols)
+
+
+@pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"], ["u"]], ids=["one", "two", "u64"])
+@pytest.mark.parametrize("multi", [False, True], ids=["one_block", "multi_block"])
+def test_repeated_groups_rebuild_the_answer(ray_session, monkeypatch, caplog, keys, multi):
+    """With 64-row combiner batches, one 300-row block gives one partial
+    block in which groups repeat (a partial row per batch), and the
+    four-block input gives several partial blocks: either way the driver
+    rebuilds the answer, as one block that matches DuckDB."""
+    seen = []
+    driver_final = agg_mod._driver_final
+
+    def spy(ds, partial, *args):
+        seen.append((partial.num_blocks(), partial.count()))
+        return driver_final(ds, partial, *args)
+
+    monkeypatch.setattr(agg_mod, "_COMBINE_BATCH_ROWS", 64)
+    monkeypatch.setattr(agg_mod, "_driver_final", spy)
+    src = _ds(False) if multi else ray.data.from_arrow(T)
+    got, log = _run(lambda: agg_mod.partial_groupby(src, keys, SPECS), "driver",
+                    monkeypatch, caplog)
+    assert log["choice"] == "driver" and log["answer"] == "rebuilt"
+    [(blocks, rows)] = seen
+    assert blocks > 1 if multi else (blocks == 1 and rows > got.num_rows)
+    _check_groupby(got, keys, T)
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
@@ -131,6 +167,7 @@ def test_grouped_top_k_matches_duckdb(ray_session, monkeypatch, caplog, branch, 
                     branch, monkeypatch, caplog)
     assert log["site"] == "stages.agg.grouped_top_k"
     assert log["choice"] == _choice(branch, empty)
+    assert log["answer"] == "rebuilt"  # reduce adds the rank column
     src = T.slice(0, 0) if empty else T
     assert got.schema == src.schema.append(pa.field("rank", pa.int64()))
     con = duckdb.connect()

@@ -282,20 +282,25 @@ def test_all_empty_left_blocks(ray_session, monkeypatch, how):
         assert all(t.num_rows == 0 for t in ray.get(ds.to_arrow_refs()))
 
 
-def test_broadcast_join_then_groupby_is_one_execution(ray_session, executions, caplog):
+def test_broadcast_join_then_groupby_is_one_execution(ray_session, executions, datasets,
+                                                       caplog):
     """A small right side broadcasts as its own blocks and a small grouped
     answer comes back materialized, so join -> partial_groupby -> read
-    starts exactly one Ray Data execution: the grouped partial pass."""
+    starts exactly one Ray Data execution: the grouped partial pass. It
+    builds four Datasets: the join map, the one combiner map and the two of
+    its materialize(); the one partial block, whose groups are unique, is
+    the answer itself."""
     from geotrellis_ray.stages.agg import partial_groupby
 
     left, right = _left_ds().materialize(), ray.data.from_arrow(RIGHT).materialize()
-    executions.n = 0
+    executions.n = datasets.n = 0
     with caplog.at_level(logging.DEBUG, logger=join_mod.__name__):
         joined = join_mod.spatial_join(left, right, on=("sfc",))
     assert _join_log(caplog)["choice"] == "broadcast"
     out = partial_groupby(joined, ["key_row"], [("v", "count", "n"), ("v_r", "sum", "s")])
     got = _table(out)
     assert executions.n == 1
+    assert datasets.n == 4
     con = duckdb.connect()
     con.register("j", _oracle(RIGHT, ("sfc",), "inner"))
     exp = con.execute("SELECT key_row, count(*) AS n, sum(v_r) AS s FROM j GROUP BY key_row").arrow()
